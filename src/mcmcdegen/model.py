@@ -26,6 +26,7 @@ from scipy.special import ndtr
 from .sampling import RngStream
 
 _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
+_FISHER_BLOCK = 4096   # Monte Carlo rows per block in fisher_information; bounds its temporaries
 
 
 class DegenerateCellError(ValueError):
@@ -147,25 +148,6 @@ class Theta:
 
 
 @dataclasses.dataclass(frozen=True)
-class ExpandedTheta:
-    """Parameter of the scale-expanded model: (theta, g) with g > 0.
-
-    The identified parameter is g * theta; g itself is a working scale that
-    only exists inside the sampler.
-    """
-
-    theta: Theta
-    g: float = 1.0
-
-    def __post_init__(self):
-        if not self.g > 0:
-            raise ValueError("g must be positive")
-
-    def identified(self) -> Theta:
-        return Theta(alpha=self.g * self.theta.alpha, beta=self.g * self.theta.beta)
-
-
-@dataclasses.dataclass(frozen=True)
 class ModelConfig:
     c: int = 2
     link: LinkSpec = PROBIT
@@ -262,67 +244,38 @@ def sample_dataset(cfg: ModelConfig, theta0: Theta, n: int, seed: int) -> Datase
     return Dataset(x=x, y=y, c=cfg.c, true_theta=theta0, seed=int(seed))
 
 
-def score_eta(cfg: ModelConfig, theta: Theta, x, j: int) -> np.ndarray:
-    """Score-type vector eta = grad_theta p / (2 sqrt(p)) at one observation.
+def _cell_gradients(cfg: ModelConfig, theta: Theta, x):
+    """Gradients and values of the cell probabilities over rows of x.
 
-    The cut-point component i picks up f(alpha^i + beta'x) with sign +1 when
-    y = i and -1 when y = i + 1; the slope component is
-    x (f(alpha^y + beta'x) - f(alpha^{y-1} + beta'x)); everything is divided
-    by 2 sqrt(p(x, y)).
+    Returns G of shape (rows, c, dim), with G[r, j - 1] the gradient in theta
+    of P(y = j | x_r), and P of shape (rows, c). Cut-point i moves cell i up
+    and cell i + 1 down by f(alpha^i + beta'x); the slopes move cell j by
+    x (f(alpha^j + beta'x) - f(alpha^{j-1} + beta'x)).
     """
-    grad, prob = _cell_gradient(cfg, theta, x, j)
-    if prob <= 1e-300:
-        raise DegenerateCellError("cell probability vanished under the score")
-    return grad / (2.0 * math.sqrt(prob))
-
-
-def _cell_gradient(cfg: ModelConfig, theta: Theta, x, j: int):
-    cfg.validate_theta(theta)
-    if not 1 <= j <= cfg.c:
-        raise ValueError(f"label {j} outside 1..{cfg.c}")
-    x = np.asarray(x, dtype=float).reshape(cfg.p)
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    P = cell_probabilities(cfg, theta, x)
     cuts = full_cuts(theta, cfg.c)
-    bx = float(x @ theta.beta)
-    f = cfg.link.f
+    finite = np.isfinite(cuts)
+    dens = np.zeros((x.shape[0], cfg.c + 1))
+    dens[:, finite] = cfg.link.f(cuts[None, finite] + (x @ theta.beta)[:, None])
 
-    def dens(arg):
-        return float(f(arg)) if math.isfinite(arg) else 0.0
-
-    upper = dens(cuts[j] + bx)
-    lower = dens(cuts[j - 1] + bx)
-
-    d_alpha = np.zeros(cfg.c - 2)
+    G = np.zeros((x.shape[0], cfg.c, cfg.dim))
     for i in range(2, cfg.c):
-        val = dens(cuts[i] + bx)
-        d_alpha[i - 2] = val * (float(j == i) - float(j == i + 1))
-    d_beta = x * (upper - lower)
-    prob = cell_probability(cfg, theta, x, j)
-    return np.concatenate([d_alpha, d_beta]), prob
+        G[:, i - 1, i - 2] = dens[:, i]
+        G[:, i, i - 2] = -dens[:, i]
+    G[:, :, cfg.c - 2 :] = (dens[:, 1:] - dens[:, :-1])[:, :, None] * x[:, None, :]
+    return G, P
 
 
 def normalized_score(cfg: ModelConfig, theta: Theta, data: Dataset) -> np.ndarray:
     """Z_n = n^{-1/2} sum_i grad_theta log p(x_i, y_i | theta)."""
     cfg.validate_theta(theta)
-    probs = cell_probabilities(cfg, theta, data.x)
-    chosen = probs[np.arange(data.n), data.y - 1]
+    G, P = _cell_gradients(cfg, theta, data.x)
+    rows = np.arange(data.n)
+    chosen = P[rows, data.y - 1]
     if np.any(chosen <= 1e-300):
         raise DegenerateCellError("a cell probability vanished in the score sum")
-
-    cuts = full_cuts(theta, cfg.c)
-    bx = data.x @ theta.beta
-    f = cfg.link.f
-    dens = np.zeros((data.n, cfg.c + 1))
-    finite = np.isfinite(cuts)
-    dens[:, finite] = f(cuts[None, finite] + bx[:, None])
-
-    upper = dens[np.arange(data.n), data.y]
-    lower = dens[np.arange(data.n), data.y - 1]
-
-    total = np.zeros(cfg.dim)
-    for i in range(2, cfg.c):
-        contrib = dens[:, i] * ((data.y == i) - 1.0 * (data.y == i + 1))
-        total[i - 2] = np.sum(contrib / chosen)
-    total[cfg.c - 2 :] = data.x.T @ ((upper - lower) / chosen)
+    total = np.sum(G[rows, data.y - 1] / chosen[:, None], axis=0)
     return total / math.sqrt(data.n)
 
 
@@ -336,30 +289,30 @@ class FisherInformation:
         return np.asarray(self.matrix, dtype=dtype)
 
 
+def _information_terms(cfg: ModelConfig, theta: Theta, x) -> np.ndarray:
+    """Per-row sum_j grad p_j grad p_j' / p_j, skipping cells with p_j <= 1e-300."""
+    G, P = _cell_gradients(cfg, theta, x)
+    live = P > 1e-300
+    scaled = np.divide(G, P[:, :, None], out=np.zeros_like(G), where=live[:, :, None])
+    return np.einsum("rjd,rje->rde", scaled, G)
+
+
 def fisher_information(cfg: ModelConfig, theta: Theta, mc_size: int = 100_000,
                        seed: int = 20_240_601, quad_tol: float = 1e-10) -> FisherInformation:
     """Information matrix I(theta) = E[grad log p grad log p'] over (x, y).
 
     Quadrature over the unit interval when p = 1, Monte Carlo over the cube
-    otherwise; the integration settings land in ``detail`` so reports can
-    cite them. Raises NumericalFailure if the result is not positive
-    definite beyond rounding.
+    otherwise; the Monte Carlo rows are processed in blocks of
+    ``_FISHER_BLOCK`` so memory stays flat in ``mc_size``. The integration
+    settings land in ``detail`` so reports can cite them. Raises
+    NumericalFailure if the result is not positive definite beyond rounding.
     """
     cfg.validate_theta(theta)
     d = cfg.dim
 
-    def contrib(xrow):
-        out = np.zeros((d, d))
-        for j in range(1, cfg.c + 1):
-            grad, prob = _cell_gradient(cfg, theta, xrow, j)
-            if prob <= 1e-300:
-                continue
-            out += np.outer(grad, grad) / prob
-        return out
-
     if cfg.p == 1:
         res = integrate.quad_vec(
-            lambda t: contrib(np.array([t])).reshape(-1),
+            lambda t: _information_terms(cfg, theta, [[t]]).reshape(-1),
             0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol,
         )
         matrix = res[0].reshape(d, d)
@@ -370,10 +323,10 @@ def fisher_information(cfg: ModelConfig, theta: Theta, mc_size: int = 100_000,
         xs = gen.random((mc_size, cfg.p))
         acc = np.zeros((d, d))
         acc2 = np.zeros((d, d))
-        for xrow in xs:
-            term = contrib(xrow)
-            acc += term
-            acc2 += term * term
+        for start in range(0, mc_size, _FISHER_BLOCK):
+            terms = _information_terms(cfg, theta, xs[start : start + _FISHER_BLOCK])
+            acc += terms.sum(axis=0)
+            acc2 += np.sum(terms * terms, axis=0)
         matrix = acc / mc_size
         var = acc2 / mc_size - matrix * matrix
         detail = {

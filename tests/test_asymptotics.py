@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from mcmcdegen import asymptotics
 from mcmcdegen.asymptotics import (
     FisherBlocks,
     ReferencePosterior,
@@ -18,6 +19,7 @@ from mcmcdegen.asymptotics import (
     two_point_test_value,
 )
 from mcmcdegen.model import (
+    CovariateSpec,
     ModelConfig,
     Theta,
     fisher_information,
@@ -230,6 +232,31 @@ class TestReferenceBanks:
         b2 = build_reference_sir(self.cfg, self.data, 64, RngStream(11, "b"),
                                  pool=2048)
         assert np.array_equal(b1, b2)
+
+    def test_fisher_fallback_when_hessian_fails(self, monkeypatch):
+        """A Hessian whose inverse has no Cholesky factor sends the proposal
+        covariance to the Monte Carlo information at p = 2."""
+        cfg = ModelConfig(c=3, covariates=CovariateSpec(p=2))
+        data = sample_dataset(cfg, Theta((0.7,), (1.0, 1.0)), 300, seed=21)
+        monkeypatch.setattr(asymptotics, "_hessian_fd",
+                            lambda fun, x0: -np.eye(x0.size))
+        calls = []
+        real = asymptotics.fisher_information
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(asymptotics, "fisher_information", counted)
+        banks = []
+        for _ in range(2):
+            info = {}
+            banks.append(build_reference_sir(cfg, data, 256, RngStream(22, "fb"),
+                                             pool=4096, info=info))
+            assert info["ess"] >= 256
+        assert len(calls) == 2
+        assert banks[0].shape == (256, 3)
+        assert banks[0].tobytes() == banks[1].tobytes()
 
     def test_sir_reference_packaging(self):
         ref = sir_reference(self.cfg, self.data, 256, seed=12, pool=4096)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import roots_legendre
 from scipy.stats import norm
 
 from mcmcdegen.model import (
@@ -128,6 +129,94 @@ class TestFisherInformation:
         eig = np.linalg.eigvalsh(fi.matrix)
         assert np.all(eig > 0)
         assert np.allclose(fi.matrix, fi.matrix.T)
+
+
+def _oracle_information_terms(cfg, theta, xs):
+    """Per-row information sum_j grad p_j grad p_j' / p_j, one cell at a time."""
+    cuts = np.concatenate([[-np.inf, 0.0], theta.alpha, [np.inf]])
+    out = np.zeros((len(xs), cfg.dim, cfg.dim))
+    for r, x in enumerate(xs):
+        bx = float(x @ theta.beta)
+        dens = [float(cfg.link.f(cut + bx)) if np.isfinite(cut) else 0.0
+                for cut in cuts]
+        for j in range(1, cfg.c + 1):
+            prob = cell_probability(cfg, theta, x, j)
+            if prob <= 1e-300:
+                continue
+            grad = np.zeros(cfg.dim)
+            for i in range(2, cfg.c):
+                grad[i - 2] = dens[i] * ((j == i) - (j == i + 1))
+            grad[cfg.c - 2:] = x * (dens[j] - dens[j - 1])
+            out[r] += np.outer(grad, grad) / prob
+    return out
+
+
+def _oracle_monte_carlo(cfg, theta, mc_size, seed):
+    xs = RngStream(seed, "fisher-mc").generator.random((mc_size, cfg.p))
+    terms = _oracle_information_terms(cfg, theta, xs)
+    mean = terms.mean(axis=0)
+    var = np.mean(terms * terms, axis=0) - mean * mean
+    return 0.5 * (mean + mean.T), float(np.sqrt(np.max(var) / mc_size))
+
+
+MC_CASES = {
+    (2, 2): Theta(alpha=(), beta=(0.8, -0.6)),
+    (3, 2): Theta(alpha=(0.9,), beta=(1.0, -0.5)),
+    (4, 3): Theta(alpha=(0.7, 1.4), beta=(-1.0, 0.5, 0.3)),
+}
+
+
+def _mc_config(c, p):
+    return ModelConfig(c=c, covariates=CovariateSpec(p=p))
+
+
+class TestFisherMonteCarlo:
+    @pytest.mark.parametrize("c,p", sorted(MC_CASES))
+    def test_matches_per_row_oracle(self, c, p):
+        cfg, th = _mc_config(c, p), MC_CASES[c, p]
+        fi = fisher_information(cfg, th, mc_size=2000, seed=5)
+        oracle, se = _oracle_monte_carlo(cfg, th, 2000, 5)
+        assert fi.method == "monte-carlo"
+        np.testing.assert_allclose(fi.matrix, oracle, rtol=1e-12, atol=0)
+        assert fi.detail["entry_se_max"] == pytest.approx(se, rel=1e-12)
+        assert fi.detail["mc_size"] == 2000 and fi.detail["seed"] == 5
+
+    @pytest.mark.parametrize("c,p", sorted(MC_CASES))
+    def test_agrees_with_gauss_legendre(self, c, p):
+        """Against a tensor Gauss-Legendre rule on the unit cube (12 nodes a
+        side already agrees with 24 to 1e-12; the integrand is analytic)."""
+        cfg, th = _mc_config(c, p), MC_CASES[c, p]
+        fi = fisher_information(cfg, th)
+        nodes, weights = roots_legendre(12)
+        nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+        xs = np.stack(np.meshgrid(*[nodes] * p, indexing="ij"), -1).reshape(-1, p)
+        w = np.prod(np.stack(np.meshgrid(*[weights] * p, indexing="ij"), -1)
+                    .reshape(-1, p), axis=1)
+        exact = np.einsum("r,rde->de", w, _oracle_information_terms(cfg, th, xs))
+        assert np.all(np.abs(fi.matrix - exact) <= 4 * fi.detail["entry_se_max"])
+
+    def test_same_seed_same_bytes(self):
+        cfg, th = _mc_config(4, 3), MC_CASES[4, 3]
+        a = fisher_information(cfg, th, mc_size=9000, seed=3)
+        b = fisher_information(cfg, th, mc_size=9000, seed=3)
+        assert a.matrix.tobytes() == b.matrix.tobytes()
+        assert a.detail == b.detail
+
+    def test_underflowed_cells_are_skipped(self):
+        """Where the top cell rounds to probability 0 while its density is
+        still positive, the cell is left out of the sum rather than giving
+        0/0 or x/0; the result stays finite and positive definite."""
+        cfg = _mc_config(3, 2)
+        th = Theta(alpha=(0.5,), beta=(6.0, 6.0))
+        xs = RngStream(7, "fisher-mc").generator.random((3000, 2))
+        probs = cell_probabilities(cfg, th, xs)
+        top_density = cfg.link.f(0.5 + xs @ th.beta)
+        assert np.any((probs[:, 2] == 0.0) & (top_density > 0.0))
+        fi = fisher_information(cfg, th, mc_size=3000, seed=7)
+        oracle, _ = _oracle_monte_carlo(cfg, th, 3000, 7)
+        assert np.all(np.isfinite(fi.matrix))
+        assert fi.detail["min_eig"] > 0
+        np.testing.assert_allclose(fi.matrix, oracle, rtol=1e-12, atol=0)
 
 
 class TestDatasets:
