@@ -262,6 +262,22 @@ def run_verify(out=None) -> list[tuple[str, bool, str]]:
         worst = max(worst, abs(metrics.bl_distance(mu, nu) - w1))
     checks.append(("bl-equals-w1", worst < 1e-9, f"max|Δ|={worst:.2e}"))
 
+    gen = np.random.default_rng(20_241_018)  # leaves the data below as is
+    worst, solvers = 0.0, set()
+    for _ in range(20):
+        k, d = int(gen.integers(2, 41)), int(gen.integers(1, 4))
+        a, b = gen.normal(size=(k, d)), gen.normal(0.3, size=(k, d))
+        a[gen.integers(k, size=k // 3)] = b[-1] = a[0]  # duplicated rows
+        mu = metrics.EmpiricalMeasure.from_points(a)
+        nu = metrics.EmpiricalMeasure.from_points(b)
+        scale = float(gen.uniform(0.2, 5.0))
+        got = metrics.bl_distance(mu, nu, scale=scale)
+        solvers.add(got.solver)
+        worst = max(worst, abs(got - metrics._bl_linear_program(mu, nu, scale)))
+    checks.append(("bl-assignment-equals-lp",
+                   worst < 1e-9 and solvers == {"assignment"},
+                   f"max|Δ|={worst:.2e} solver={','.join(sorted(solvers))}"))
+
     pts = rng.normal(size=(60, 2)) * (1.0 + rng.uniform(size=2))
     mu = metrics.EmpiricalMeasure.from_points(pts)
     cv = metrics.central_value(mu)

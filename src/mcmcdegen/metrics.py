@@ -10,8 +10,10 @@ Three estimators live here:
 * ``estimate_Rprime``: average distance between a chain's start and its next
   m states, which equals the bounded-Lipschitz distance between the start's
   point mass and the m-step empirical measure.
-* ``estimate_R``: bounded-Lipschitz distance (solved as a linear program)
-  between the chain's empirical measure and a reference posterior sample.
+* ``estimate_R``: bounded-Lipschitz distance between the chain's m-step
+  empirical measure and m reference rows. As d <= 1 it is W1 under d
+  (Kantorovich-Rubinstein), an exact assignment for two uniform clouds of
+  equal size; the linear program runs only for weighted or unequal sizes.
 * ``one_step_statistic``: mean localized one-step motion of a transform of
   the state along a stationarity-started chain; its decay in n is what
   separates degenerate from locally consistent kernels.
@@ -25,7 +27,7 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize, sparse
+from scipy import optimize, sparse, spatial
 
 from .kernels import ChainState, ChainTrace, VariantId, initial_state, kernel_step
 from .model import Dataset, ModelConfig, NumericalFailure, Theta, sample_dataset
@@ -127,56 +129,51 @@ def ground_metric(u, v, scale: float = 1.0) -> np.ndarray:
     return np.minimum(scale * np.linalg.norm(diff, axis=-1), 1.0)
 
 
-def _distance_matrix(pts: np.ndarray, scale: float) -> np.ndarray:
-    diff = pts[:, None, :] - pts[None, :, :]
-    return np.minimum(scale * np.sqrt(np.sum(diff * diff, axis=-1)), 1.0)
-
-
 class BLValue(float):
-    """The distance as a float, carrying how it was computed."""
+    """The distance as a float, carrying how it was computed: the pooled
+    support (both clouds, duplicates counted) and the solver ("assignment"
+    or "lp"). Nothing is ever resampled."""
 
     support: int
-    resampled: bool
-    subsample_seed: int | None
+    solver: str
+    resampled = False
 
-    def __new__(cls, value, support, resampled, subsample_seed):
+    def __new__(cls, value, support, solver):
         obj = super().__new__(cls, value)
         obj.support = support
-        obj.resampled = resampled
-        obj.subsample_seed = subsample_seed
+        obj.solver = solver
         return obj
 
 
-SUPPORT_CAP = 400
-
-
-def _resample(measure: EmpiricalMeasure, k: int, rng: RngStream) -> EmpiricalMeasure:
-    idx = rng.generator.choice(measure.size, size=k, replace=True, p=measure.weights)
-    return EmpiricalMeasure.from_points(measure.points[idx])
-
-
-def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, *, scale: float = 1.0,
-                cap: int = SUPPORT_CAP, rng: RngStream | None = None) -> BLValue:
+def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, *,
+                scale: float = 1.0) -> BLValue:
     """Bounded-Lipschitz distance between two weighted point clouds.
 
-    Solves the dual linear program max sum_k a_k f_k over potentials f on
-    the pooled support with |f_k| <= 1 and |f_k - f_l| <= d(x_k, x_l),
-    where a carries the signed weights. Beyond ``cap`` pooled support
-    points, both sides are i.i.d.-resampled down to cap/2 points each and
-    the value is the resampled one (seed recorded on the result).
+    The ground metric d = min(scale * |.|, 1) is at most 1, so a d-Lipschitz
+    potential shifts into [-1, 1]: the bound |f| <= 1 is slack and the
+    distance is W1 under d (Kantorovich-Rubinstein). For two uniform clouds
+    of equal size W1 is an assignment problem (Birkhoff-von Neumann), solved
+    exactly by ``linear_sum_assignment`` on the k x k matrix of d. Weighted
+    or unequal-size inputs go to the dual linear program.
     """
     if mu.dim != nu.dim:
         raise ValueError("dimension mismatch")
-    resampled = False
-    seed = None
-    if mu.size + nu.size > cap:
-        if rng is None:
-            rng = RngStream(0, "bl-subsample", mu.size, nu.size)
-        seed = rng.seed
-        mu = _resample(mu, cap // 2, rng.child("mu"))
-        nu = _resample(nu, cap // 2, rng.child("nu"))
-        resampled = True
+    support = mu.size + nu.size
+    uniform = not np.ptp(mu.weights) and not np.ptp(nu.weights)
+    if uniform and mu.size == nu.size:
+        cost = np.minimum(scale * spatial.distance.cdist(mu.points, nu.points),
+                          1.0)
+        rows, cols = optimize.linear_sum_assignment(cost)
+        return BLValue(float(cost[rows, cols].mean()), support, "assignment")
+    return BLValue(_bl_linear_program(mu, nu, scale), support, "lp")
 
+
+def _bl_linear_program(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
+                       scale: float) -> float:
+    """The dual LP: max sum_k a_k f_k over potentials f on the pooled support
+    with |f_k| <= 1 and |f_k - f_l| <= d(x_k, x_l), where a carries the
+    signed weights. It has O(k^2) rows, so it serves weighted and
+    unequal-size inputs only (and the tests, as an oracle)."""
     pts = np.concatenate([mu.points, nu.points], axis=0)
     a = np.concatenate([mu.weights, -nu.weights])
     pts, inv = np.unique(pts, axis=0, return_inverse=True)
@@ -184,33 +181,24 @@ def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, *, scale: float = 1.
     np.add.at(signed, inv.reshape(-1), a)
     k = pts.shape[0]
     if k == 1:
-        return BLValue(0.0, 1, resampled, seed)
+        return 0.0
 
-    dist = _distance_matrix(pts, scale)
+    dist = np.minimum(scale * spatial.distance.cdist(pts, pts), 1.0)
     ii, jj = np.triu_indices(k, 1)
-    npairs = ii.size
-    rows = np.repeat(np.arange(2 * npairs), 2)
-    cols = np.empty(4 * npairs, dtype=np.int64)
-    cols[0::4], cols[1::4] = ii, jj
-    cols[2::4], cols[3::4] = jj, ii
-    vals = np.tile([1.0, -1.0], 2 * npairs)
-    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(2 * npairs, k))
-    # rows alternate (f_i - f_j) and (f_j - f_i) per pair, same bound each
-    b_ub = np.repeat(dist[ii, jj], 2)
-
+    pair = sparse.identity(k, format="csr")
+    pair = pair[ii] - pair[jj]  # one row f_i - f_j per pair i < j
     res = optimize.linprog(
-        c=-signed, A_ub=a_ub, b_ub=b_ub, bounds=(-1.0, 1.0), method="highs",
-        options={
-            "primal_feasibility_tolerance": 1e-10,
-            "dual_feasibility_tolerance": 1e-10,
-        },
+        c=-signed, A_ub=sparse.vstack([pair, -pair]),
+        b_ub=np.tile(dist[ii, jj], 2), bounds=(-1.0, 1.0), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
     )
     if res.status != 0:
         raise NumericalFailure(
             f"linear program failed: status={res.status} message={res.message!r} "
             f"support={k} scale={scale}"
         )
-    return BLValue(max(-res.fun, 0.0), k, resampled, seed)
+    return max(-res.fun, 0.0)
 
 
 def central_value(mu: EmpiricalMeasure, tol: float = 1e-10) -> np.ndarray:
@@ -276,17 +264,6 @@ def wprime_from_series(series: np.ndarray, scale: float = 1.0) -> float:
         raise ValueError("need the start plus at least one step")
     gaps = np.linalg.norm(series[1:] - series[0], axis=-1)
     return float(np.mean(np.minimum(scale * gaps, 1.0)))
-
-
-def split_half_distance(points: np.ndarray, scale: float, rng: RngStream,
-                        cap: int = SUPPORT_CAP) -> float:
-    """Noise floor: distance between two disjoint halves of one sample."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    idx = rng.generator.permutation(pts.shape[0])
-    half = pts.shape[0] // 2
-    mu = EmpiricalMeasure.from_points(pts[idx[:half]])
-    nu = EmpiricalMeasure.from_points(pts[idx[half : 2 * half]])
-    return float(bl_distance(mu, nu, scale=scale, cap=cap, rng=rng.child("bl")))
 
 
 @dataclasses.dataclass
@@ -420,15 +397,19 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
 
     Per replication: fresh dataset, a reference posterior sample, one chain
     of m steps from the configured start; the bounded-Lipschitz distance is
-    taken between the chain's empirical measure (states 1..m) and an
-    equal-size subsample of the reference, on the sqrt(n)-localized scale
-    (and unlocalized, for orientation). The central value of the reference
-    sample per replication is recorded as localization metadata.
+    taken between the chain's empirical measure (states 1..m) and m
+    distinct reference rows (an exact assignment, solver and support in the
+    metadata), on the sqrt(n)-localized scale (and unlocalized, for
+    orientation). The central value of the reference sample per replication
+    is recorded as localization metadata.
     """
     if isinstance(variant, str):
         variant = VariantId.parse(variant)
+    if reference_size < m:
+        raise ValueError(f"reference_size={reference_size} < m={m}: need m "
+                         "distinct reference rows")
     root = RngStream(master_seed, "risk", variant.name, n, m)
-    raw, loc, centers = [], [], []
+    raw, loc, centers, how = [], [], [], {}
     for r in range(R):
         rep = root.child("rep", r)
         data = sample_dataset(cfg, theta0, n, seed=rep.child("data").seed_int())
@@ -443,14 +424,13 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
         for t in range(m):
             kernel_step(cfg, data, state, variant, chain, scans=scans)
             series[t] = transform_state(state, transform)[0]
-        nsup = min(m, SUPPORT_CAP // 2)
         pick = rep.child("ref-pick").generator
-        ref_pts = bank[pick.permutation(bank.shape[0])[:nsup]]
+        ref_pts = bank[pick.permutation(bank.shape[0])[:m]]
         mu = EmpiricalMeasure.from_points(series)
         nu = EmpiricalMeasure.from_points(ref_pts)
-        sub = rep.child("bl")
-        raw.append(float(bl_distance(mu, nu, scale=1.0, rng=sub)))
-        loc.append(float(bl_distance(mu, nu, scale=math.sqrt(n), rng=sub)))
+        raw.append(bl_distance(mu, nu, scale=1.0))
+        loc.append(bl_distance(mu, nu, scale=math.sqrt(n)))
+        how = {"bl_solver": loc[-1].solver, "bl_support": loc[-1].support}
         centers.append(central_value(nu))
     return DiagnosticsReport(
         variant=variant.name, n=n, m=m, replications=R,
@@ -458,7 +438,7 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
         metadata={"init": init, "transform": transform,
                   "master_seed": master_seed,
                   "theta_hat": np.asarray(centers),
-                  "reference_size": reference_size},
+                  "reference_size": reference_size, **how},
     )
 
 

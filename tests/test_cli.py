@@ -24,11 +24,12 @@ class TestVerify:
         code, out, _ = _run(capsys, ["verify"])
         assert code == 0
         lines = [l for l in out.splitlines() if l]
-        assert len(lines) == 5
+        assert len(lines) == 6
         assert all(l.startswith("PASS ") for l in lines)
         names = {l.split()[1].rstrip(":") for l in lines}
         assert names == {"scale-constants", "point-mass-identity",
-                         "bl-equals-w1", "central-value", "scale-conditional"}
+                         "bl-equals-w1", "bl-assignment-equals-lp",
+                         "central-value", "scale-conditional"}
 
     def test_report_file(self, tmp_path, capsys):
         out_file = tmp_path / "verify.txt"
@@ -233,4 +234,4 @@ class TestEntryPoint:
             [sys.executable, "-m", "mcmcdegen.cli", "verify"],
             capture_output=True, text=True, env=_subprocess_env())
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("PASS") == 5
+        assert proc.stdout.count("PASS") == 6

@@ -22,9 +22,9 @@ from mcmcdegen.metrics import (
     localize,
     one_step_pairs,
     one_step_statistic,
-    split_half_distance,
     table1_transform,
     wprime_from_series,
+    _bl_linear_program,
     _cluster_se,
 )
 from mcmcdegen.model import ModelConfig, Theta, sample_dataset
@@ -140,15 +140,67 @@ class TestBLDistance:
         v = float(bl_distance(mu, nu))
         assert -1e-12 <= v <= 1.0 + 1e-9
 
-    def test_large_support_resamples_reproducibly(self):
+    def test_solver_follows_the_input(self):
+        gen = np.random.default_rng(10)
+        a = gen.normal(size=(5, 2))
+        b = gen.normal(size=(5, 2))
+        uniform = bl_distance(EmpiricalMeasure.from_points(a),
+                              EmpiricalMeasure.from_points(b))
+        assert uniform.solver == "assignment" and uniform.support == 10
+        assert uniform.resampled is False
+        unequal = bl_distance(EmpiricalMeasure.from_points(a),
+                              EmpiricalMeasure.from_points(b[:4]))
+        assert unequal.solver == "lp" and unequal.support == 9
+        w = np.arange(1.0, 6.0)
+        weighted = bl_distance(EmpiricalMeasure(a, w / w.sum()),
+                               EmpiricalMeasure.from_points(b))
+        assert weighted.solver == "lp"
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 3),
+           st.floats(0.2, 30.0), st.sampled_from(["fresh", "duplicated",
+                                                  "identical"]))
+    @settings(max_examples=60, deadline=None)
+    def test_assignment_equals_linear_program(self, seed, k, dim, scale,
+                                              kind):
+        gen = np.random.default_rng(seed)
+        a = gen.normal(size=(k, dim))
+        b = gen.normal(loc=0.2, size=(k, dim))
+        if kind == "duplicated":
+            # frozen chain states: long runs of one row, one shared row
+            a[gen.integers(k, size=k // 2)] = a[0]
+            b[gen.integers(k, size=k // 3)] = b[-1]
+            b[0] = a[0]
+        elif kind == "identical":
+            b = a[gen.permutation(k)]
+        mu = EmpiricalMeasure.from_points(a)
+        nu = EmpiricalMeasure.from_points(b)
+        got = bl_distance(mu, nu, scale=scale)
+        assert got.solver == "assignment"
+        assert abs(float(got) - _bl_linear_program(mu, nu, scale)) <= 1e-12
+        if kind == "identical":
+            assert float(got) == 0.0
+
+    def test_large_equal_support_is_exact(self):
+        """300 + 300 points are matched whole, with no subsampling; a 150 +
+        150 slice agrees with the linear program."""
         gen = np.random.default_rng(8)
-        mu = EmpiricalMeasure.from_points(gen.normal(size=(300, 1)))
-        nu = EmpiricalMeasure.from_points(gen.normal(loc=0.4, size=(300, 1)))
-        v1 = bl_distance(mu, nu, rng=RngStream(9, "bl"))
-        v2 = bl_distance(mu, nu, rng=RngStream(9, "bl"))
-        assert v1.resampled and v1.support <= 400
-        assert v1.subsample_seed is not None
+        a = gen.normal(size=(300, 1))
+        b = gen.normal(loc=0.4, size=(300, 1))
+        mu = EmpiricalMeasure.from_points(a)
+        nu = EmpiricalMeasure.from_points(b)
+        v1 = bl_distance(mu, nu)
+        v2 = bl_distance(mu, nu)
+        assert v1.solver == "assignment" and v1.support == 600
+        assert not v1.resampled
         assert float(v1) == float(v2)
+        # at scale 0.1 no pairwise gap reaches the cap: plain 1-D W1
+        assert np.ptp(np.concatenate([a, b])) < 10.0
+        assert abs(float(bl_distance(mu, nu, scale=0.1))
+                   - 0.1 * wasserstein_distance(a[:, 0], b[:, 0])) < 1e-12
+        half_mu = EmpiricalMeasure.from_points(a[:150])
+        half_nu = EmpiricalMeasure.from_points(b[:150])
+        assert abs(float(bl_distance(half_mu, half_nu))
+                   - _bl_linear_program(half_mu, half_nu, 1.0)) <= 1e-12
 
 
 class TestCentralValue:
@@ -238,22 +290,6 @@ class TestPairsOracle:
         vals = one_step_pairs(z0, z1, s)
         se = vals.std() / np.sqrt(vals.size)
         assert abs(vals.mean() - want) < 5 * se
-
-
-class TestSplitHalf:
-    def test_floor_is_small_and_deterministic(self):
-        gen = np.random.default_rng(14)
-        pts = gen.normal(size=(200, 2))
-        v1 = split_half_distance(pts, 1.0, RngStream(15, "sh"))
-        v2 = split_half_distance(pts, 1.0, RngStream(15, "sh"))
-        assert v1 == v2
-        assert 0.0 < v1 < 0.6
-        # the floor sits well under a real separation of the same size
-        shifted = np.vstack([pts[:100], pts[100:] + [2.0, 0.0]])
-        apart = float(bl_distance(EmpiricalMeasure.from_points(shifted[:100]),
-                                  EmpiricalMeasure.from_points(shifted[100:]),
-                                  rng=RngStream(16)))
-        assert v1 < 0.6 * apart
 
 
 class TestClusterSE:
@@ -358,6 +394,15 @@ class TestRiskEstimators:
         assert set(rep.estimates) == {"R", "R_localized"}
         assert np.asarray(rep.metadata["theta_hat"]).shape == (2, 1)
         assert 0.0 <= rep.value("R_localized") <= 1.0
+        assert rep.metadata["bl_solver"] == "assignment"
+        assert rep.metadata["bl_support"] == 40
+
+    def test_risk_needs_m_reference_rows(self):
+        cfg = ModelConfig(c=2)
+        with pytest.raises(ValueError, match="reference_size"):
+            estimate_R("binary-beta", cfg, n=60, m=20, R=2,
+                       reference_size=19, master_seed=23,
+                       theta0=Theta((), (2.0,)))
 
 
 class TestOneStepStatistic:
