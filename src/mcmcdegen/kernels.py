@@ -22,7 +22,8 @@ import dataclasses
 from pathlib import Path
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky, solve_triangular
+from scipy.linalg import cholesky
+from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.stats import gamma as gamma_dist
 
 from .model import Dataset, ModelConfig, Theta, prior_theta_draws
@@ -102,21 +103,41 @@ class ChainState:
 
     def check_cone(self):
         a = self.alpha
-        if a.shape[1] and (np.any(a <= 0) or np.any(np.diff(a, axis=1) <= 0)):
+        if a.shape[1] and ((a <= 0).any() or (a[:, 1:] <= a[:, :-1]).any()):
             raise AssertionError("cut-point ordering violated")
 
 
+@dataclasses.dataclass(frozen=True)
+class _Prepared:
+    """What the sweeps use of (cfg, data) that no draw changes."""
+
+    below: np.ndarray        # y - 1: column of each row's lower cut-point
+    cut_rows: tuple          # per free cut-point j: rows with y == j, y == j + 1
+    chol: np.ndarray         # lower Cholesky factor of X'X + I / sigma_beta^2
+
+
+def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
+    cache = data._kernel_cache
+    prep = cache.get(cfg)
+    if prep is None:
+        a = data.x.T @ data.x + np.eye(cfg.p) / cfg.prior.sigma_beta ** 2
+        prep = cache.setdefault(cfg, _Prepared(
+            below=data.y - 1,
+            cut_rows=tuple((np.flatnonzero(data.y == j),
+                            np.flatnonzero(data.y == j + 1))
+                           for j in range(2, cfg.c)),
+            chol=cholesky(a, lower=True),
+        ))
+    return prep
+
+
 def _full_cuts_batch(state: ChainState, c: int) -> np.ndarray:
-    B = state.batch
-    return np.concatenate(
-        [
-            np.full((B, 1), -np.inf),
-            np.zeros((B, 1)),
-            state.alpha,
-            np.full((B, 1), np.inf),
-        ],
-        axis=1,
-    )
+    cuts = np.empty((state.batch, c + 1))
+    cuts[:, 0] = -np.inf
+    cuts[:, 1] = 0.0
+    cuts[:, 2:c] = state.alpha
+    cuts[:, c] = np.inf
+    return cuts
 
 
 def draw_latent(cfg: ModelConfig, data: Dataset, state: ChainState,
@@ -124,7 +145,7 @@ def draw_latent(cfg: ModelConfig, data: Dataset, state: ChainState,
     """Refresh the latent block z | theta, g for every chain in the batch."""
     cuts = _full_cuts_batch(state, cfg.c)
     bx = state.beta @ data.x.T
-    lo = cuts[:, data.y - 1]
+    lo = cuts[:, _prepared(cfg, data).below]
     hi = cuts[:, data.y]
     if variant.parameterization == "null":
         lo = lo + bx
@@ -169,24 +190,19 @@ def _scan_alpha(cfg: ModelConfig, data: Dataset, state: ChainState,
     one; category j requires a^j >= witness on {y = j} and a^j < witness on
     {y = j + 1}, on top of the ordering with the neighbors.
     """
-    c = cfg.c
-    sd = (cfg.prior.sigma_alpha / state.g)[:, None]
-    for j in range(2, c):
-        col = j - 2
-        m_low = data.y == j
-        m_high = data.y == j + 1
-        lo = np.where(m_low[None, :], witness, -np.inf).max(axis=1)
-        hi = np.where(m_high[None, :], witness, np.inf).min(axis=1)
+    sd = cfg.prior.sigma_alpha / state.g
+    last = cfg.c - 3
+    for col, (low_rows, high_rows) in enumerate(_prepared(cfg, data).cut_rows):
+        lo = witness[:, low_rows].max(axis=1, initial=-np.inf)
+        hi = witness[:, high_rows].min(axis=1, initial=np.inf)
         if col > 0:
             lo = np.maximum(lo, state.alpha[:, col - 1])
         else:
             lo = np.maximum(lo, 0.0)
-        if col < c - 3:
+        if col < last:
             hi = np.minimum(hi, state.alpha[:, col + 1])
         lo, hi = _ensure_open(lo, hi)
-        state.alpha[:, col] = truncated_normal_vec(
-            0.0, sd[:, 0], lo, hi, rng
-        )
+        state.alpha[:, col] = truncated_normal_vec(0.0, sd, lo, hi, rng)
 
 
 def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
@@ -199,7 +215,7 @@ def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
     """
     cuts = _full_cuts_batch(state, cfg.c)
     au = cuts[:, data.y]
-    al = cuts[:, data.y - 1]
+    al = cuts[:, _prepared(cfg, data).below]
     z = state.z
     bx = state.beta @ data.x.T
     sd = cfg.prior.sigma_beta / state.g
@@ -214,24 +230,28 @@ def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
         state.beta[:, k] = new
 
 
-def _beta_chol(cfg: ModelConfig, data: Dataset) -> np.ndarray:
-    a = data.x.T @ data.x + np.eye(cfg.p) / cfg.prior.sigma_beta ** 2
-    return cholesky(a, lower=True)
-
-
 def _draw_beta_gaussian(cfg: ModelConfig, data: Dataset, state: ChainState,
                         rng: RngStream):
     """Conjugate slope draw in the beta parameterization.
 
     With A = X'X + I / sigma_beta^2 the conditional is
-    N(-A^{-1} X'z, (g^2 A)^{-1}).
+    N(-A^{-1} X'z, (g^2 A)^{-1}). The solves call LAPACK with the
+    arguments scipy's ``cho_solve`` and ``solve_triangular`` pass for a
+    Fortran-ordered lower factor, without their per-call input checks.
     """
-    L = _beta_chol(cfg, data)
+    L = _prepared(cfg, data).chol
     rhs = -(state.z @ data.x)
-    mean = cho_solve((L, True), rhs.T).T
+    if not np.isfinite(rhs).all():
+        raise ValueError("latent block is not finite")
+    mean, info_mean = dpotrs(L, rhs.T, lower=1)
     xi = rng.generator.standard_normal((state.batch, cfg.p))
-    shift = solve_triangular(L, xi.T, lower=True, trans=1).T
-    state.beta = mean + shift / state.g[:, None]
+    shift, info_shift = dtrtrs(L, xi.T, lower=1, trans=1)
+    if info_mean or info_shift:
+        raise np.linalg.LinAlgError(
+            f"slope solve failed: dpotrs info={info_mean}, "
+            f"dtrtrs info={info_shift}"
+        )
+    state.beta = mean.T + shift.T / state.g[:, None]
 
 
 def update_theta_null(cfg: ModelConfig, data: Dataset, state: ChainState,

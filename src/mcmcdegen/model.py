@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from pathlib import Path
@@ -197,6 +198,16 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    @functools.cached_property
+    def _kernel_cache(self) -> dict:
+        """Values the Gibbs kernels derive once from (cfg, this dataset).
+
+        Keyed by the frozen ModelConfig and filled by ``kernels``; entries
+        depend only on the key and the data, so writes are idempotent. The
+        data arrays must not be mutated once the cache is in use.
+        """
+        return {}
 
 
 def full_cuts(theta: Theta, c: int) -> np.ndarray:

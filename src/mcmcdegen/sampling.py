@@ -127,13 +127,20 @@ def _standard_truncated(a, b, gen):
     the inverse CDF; intervals lying entirely past TAIL_CUTOFF standard
     deviations use the translated-exponential rejection sampler, which stays
     exact arbitrarily far out where the CDF has no resolution left.
+
+    A call whose windows all lie in the bulk runs the inverse CDF on the
+    whole arrays; a call with tail windows gathers the bulk ones, draws
+    their uniforms first (in C order) and scatters the results back. Both
+    paths apply the same arithmetic to each window and consume the same
+    uniforms in the same order, so they return the same bits.
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    a, b = np.broadcast_arrays(a, b)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
     if a.size == 0:
         return np.empty(a.shape)
-    if np.any(~(a < b)):
+    if not (a < b).all():
         raise DegenerateIntervalError("empty truncation interval (lo >= hi)")
 
     # Work on the left half-line: intervals starting right of zero are
@@ -143,28 +150,19 @@ def _standard_truncated(a, b, gen):
     hi = np.where(flip, -a, b)
 
     tail = hi <= -TAIL_CUTOFF
-    out = np.empty(a.shape)
-
-    bulk = ~tail
-    if np.any(bulk):
-        fa = ndtr(lo[bulk])
-        fb = ndtr(hi[bulk])
-        mass = fb - fa
-        if np.any(mass < MASS_FLOOR):
-            raise DegenerateIntervalError(
-                "truncation interval mass underflows double precision"
-            )
-        u = fa + gen.random(int(bulk.sum())) * mass
-        x = ndtri(u)
-        out[bulk] = np.clip(x, lo[bulk], hi[bulk])
-
-    if np.any(tail):
+    if not tail.any():
+        out = _bulk_draws(lo, hi, gen)
+    else:
+        out = np.empty(a.shape)
+        bulk = ~tail
+        if bulk.any():
+            out[bulk] = _bulk_draws(lo[bulk], hi[bulk], gen)
         # Reflect once more so the rejection runs on a right tail [tlo, thi),
         # tlo >= TAIL_CUTOFF, and check the mass is representable at all.
         tlo = -hi[tail]
         thi = -lo[tail]
         mass = ndtr(-tlo) - ndtr(-thi)
-        if np.any(mass < MASS_FLOOR):
+        if (mass < MASS_FLOOR).any():
             raise DegenerateIntervalError(
                 "truncation interval mass underflows double precision"
             )
@@ -185,7 +183,7 @@ def _standard_truncated(a, b, gen):
             remaining = pending.copy()
             remaining[idx] = False
             pending = remaining
-        if np.any(pending):
+        if pending.any():
             # Intervals too narrow for rejection to land in: invert the
             # conditional survival function in log space, which keeps full
             # relative precision arbitrarily far out.
@@ -201,8 +199,25 @@ def _standard_truncated(a, b, gen):
         out[tail] = -draws
 
     result = np.where(flip, -out, out)
-    assert np.all(result >= a) and np.all(result <= b)
+    if not ((result >= a) & (result <= b)).all():
+        raise SamplingError("truncated-normal draw outside its window")
     return result
+
+
+def _bulk_draws(lo, hi, gen):
+    """Inverse-CDF draws on windows with hi > -TAIL_CUTOFF.
+
+    The mass check comes before the uniforms are drawn, so a call that
+    raises leaves the stream untouched.
+    """
+    fa = ndtr(lo)
+    mass = ndtr(hi) - fa
+    if (mass < MASS_FLOOR).any():
+        raise DegenerateIntervalError(
+            "truncation interval mass underflows double precision"
+        )
+    u = fa + gen.random(lo.size).reshape(lo.shape) * mass
+    return np.clip(ndtri(u), lo, hi)
 
 
 def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
@@ -214,7 +229,7 @@ def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
     """
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
-    if np.any(sd <= 0):
+    if (sd <= 0).any():
         raise ValueError("sd must be positive")
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
@@ -284,7 +299,7 @@ def gamma_draw(shape, rate, rng: RngStream, size=None):
     """Gamma(shape, rate) draws; broadcasts over array arguments."""
     shape = np.asarray(shape, dtype=float)
     rate = np.asarray(rate, dtype=float)
-    if np.any(shape <= 0) or np.any(rate <= 0):
+    if (shape <= 0).any() or (rate <= 0).any():
         raise ValueError("gamma shape and rate must be positive")
     out = rng.generator.gamma(shape, 1.0 / rate, size=size)
     return out

@@ -1,5 +1,7 @@
 """Gibbs kernel correctness: conditionals, invariance, aliases, traces."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from scipy.integrate import simpson
@@ -9,6 +11,7 @@ from scipy.stats import ks_2samp, norm
 from mcmcdegen.asymptotics import build_reference_sir
 from mcmcdegen.kernels import (
     ChainState,
+    _scan_alpha,
     VariantId,
     draw_latent,
     initial_state,
@@ -21,7 +24,13 @@ from mcmcdegen.kernels import (
     transform_names,
     update_g,
 )
-from mcmcdegen.model import Dataset, ModelConfig, Theta, sample_dataset
+from mcmcdegen.model import (
+    CovariateSpec,
+    Dataset,
+    ModelConfig,
+    Theta,
+    sample_dataset,
+)
 from mcmcdegen.sampling import RngStream
 
 
@@ -273,3 +282,118 @@ class TestDegenerateRescue:
         lo = np.where(data.y == 2, 0.0, -np.inf)
         hi = np.where(data.y == 2, np.inf, 0.0)
         assert np.all(state.z >= lo) and np.all(state.z <= hi)
+        # The rescue path's draws, recorded at commit 3ca67cb.
+        assert hashlib.sha256(state.z.tobytes()).hexdigest() == (
+            "92e1b05d133d36ee52e1fa4a79c7db72f8ea5aa4993a8c5bb722c614da01a0f8")
+
+    def test_collapsed_cut_window_is_nudged_open(self):
+        """The rows either side of the cut-point share one witness value,
+        so its window [8, 8] is shut and ``_ensure_open`` widens it by one
+        ulp. With sd = sigma_alpha / g = 1 the window sits 8 sd out, on the
+        tail sampler's path, and the draw must land in the sliver."""
+        cfg = ModelConfig(c=3)
+        data = Dataset(x=np.full((4, 1), 0.5), y=np.array([1, 2, 3, 3]), c=3)
+        witness = np.array([[-1.0, 8.0, 8.0, 9.0]])
+        draws = []
+        for _ in range(2):
+            state = ChainState(alpha=np.array([[8.0]]),
+                               beta=np.array([[0.0]]), g=np.array([10.0]))
+            _scan_alpha(cfg, data, state, witness, RngStream(71, "nudge"))
+            draws.append(state.alpha[0, 0])
+        assert 8.0 <= draws[0] <= np.nextafter(8.0, np.inf)
+        assert draws[0] == draws[1]
+
+
+# sha256 of the alpha, beta and g bytes of 50-step run_chain traces. Keys
+# are (variant, c, batch); "gap" marks a c = 4 dataset whose category 3 is
+# empty, so one cut-point has no rows above it and one none below it.
+_TRACE_DIGESTS = {
+    ("binary-null", 2, 1):
+        "81a1f21abbc8d04ff7a2ed3897021e670b6bb73107cdbebbea91f3cedc2e7f64",
+    ("binary-null", 2, 3):
+        "a08f6c28a390d7c6df9084e8fb6e3beb749ff125ea23d0a44cef4b55d4bb5c5e",
+    ("binary-beta", 2, 1):
+        "420e0a0daa3463bdb62aae493254dbf810a447832aeb43b6d3635de6e6ae9c0d",
+    ("binary-beta", 2, 3):
+        "383c333177efe87671ddbe09eb6e3e25e8b72d9b3d82a1d7dcf130bdf315aa3f",
+    ("null", 2, 1):
+        "39ae868efdff90e65a190ebdfaceb28e93eb7a84c7161e190c7b60b1ec06fb87",
+    ("null", 2, 3):
+        "f9eeeb5a17dfef4a52de71d0c9dddfef412ded71cd21d9779d0429a0c75bf9b1",
+    ("beta", 2, 1):
+        "1767e18fa0871b0320d36ba40ddbd93e900185c5b3529de6269b2ce7dc2930fe",
+    ("beta", 2, 3):
+        "18b2be647204f2d08959252c502e2a897acbf566a3a405b8c05adbcec390f36d",
+    ("null-ma", 2, 1):
+        "600d95821a9dea64eaad40b48e6db2262e2c6da95438cd5e5915baf6326ee9a2",
+    ("null-ma", 2, 3):
+        "b1f693441a3f7b7cb7d9fc26af8af953d97d015796e7ebec8d518cdec681541d",
+    ("beta-ma", 2, 1):
+        "542cc8aa3268b8227f3cc64e8596e5c5f6d8b75ef0413e1160badd82787e9b70",
+    ("beta-ma", 2, 3):
+        "1a4011003671de1a929f90c2a0d768df6ab3d34989d1256e9df4b00bd94b6323",
+    ("null", 3, 1):
+        "2522d98e66b094ac101c58200b6bffef2122015c0f633b79af92ca2cb74948a9",
+    ("null", 3, 3):
+        "4dab5a9923542a0636fc6a4baf8eef975985d638e4b6ab56efd7e49798f42752",
+    ("beta", 3, 1):
+        "8e26d71fabcce00ec2ddf45dc5db0a5fd4af548fbc962afea45bce39fcc02e36",
+    ("beta", 3, 3):
+        "91a9a6e692de28a19bb0060d77f8cb4b6dfdd2c355fe816f4c4ee14515471d55",
+    ("null-ma", 3, 1):
+        "f579af99b1d19b586b976456d650440e3798f9bdaeb13256e53182b963faffe4",
+    ("null-ma", 3, 3):
+        "2a05d4a84a07623f60b6e9b5fee71f0aefc7207796b95d6ccdd50818453eb73e",
+    ("beta-ma", 3, 1):
+        "b67179bfb61a8f4d574105fa828f603aa7a83470aaffb163168fa93028539796",
+    ("beta-ma", 3, 3):
+        "354b008bf011d0232e3292f6a495b849ba3ff6dd90f8faf66bb60d8101bc6623",
+    ("null", "gap", 1):
+        "8f5c044e7e8980d1b177350936f754e63d0780da303c0e7a0d64b41cdf6bcca7",
+    ("null", "gap", 3):
+        "b3112732201db574860b08cad436fb2a17bc509528362c6866eeb2430141335b",
+    ("beta-ma", "gap", 1):
+        "5948032e56784686afd25084e6fca2d9caf0186ae97e4fae5889453d67f58e22",
+    ("beta-ma", "gap", 3):
+        "7109b98776360d8dedbf32cbe0c63cd43ee6480a1282f0fcade30bbd986f11dc",
+}
+
+_DIGEST_THETA = {
+    2: Theta(alpha=(), beta=(1.5,)),
+    3: Theta(alpha=(0.8,), beta=(1.0, -0.5)),
+    "gap": Theta(alpha=(0.7, 1.4), beta=(1.0,)),
+}
+
+
+def _trace_digest(variant, c, batch):
+    theta = _DIGEST_THETA[c]
+    cfg = ModelConfig(c=theta.alpha.size + 2,
+                      covariates=CovariateSpec(p=theta.beta.size))
+    data = sample_dataset(cfg, theta, 40, seed=61)
+    if c == "gap":
+        data = Dataset(x=data.x, y=np.where(data.y == 3, 2, data.y), c=cfg.c)
+    # One chain starts at theta; a batch of three starts from prior draws,
+    # which puts early latent and cut-point windows in the far tails.
+    init = {"init": "fixed", "theta": theta} if batch == 1 else {
+        "init": "prior"}
+    trace = run_chain(cfg, data, variant, 50, RngStream(62, variant, batch),
+                      batch=batch, g0=1.3, **init)
+    digest = hashlib.sha256()
+    for arr in (trace.alpha, trace.beta, trace.g):
+        digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+class TestTraceBytes:
+    @pytest.mark.parametrize("key", list(_TRACE_DIGESTS),
+                             ids=lambda key: "-".join(map(str, key)))
+    def test_traces_match_recorded_digests(self, key):
+        """The draws of every kernel are pinned bit for bit.
+
+        The digests were recorded at commit 3ca67cb, before the batch-1
+        sweep was made lean (factor cached per dataset, direct LAPACK
+        solves, whole-array bulk truncated-normal path); a change that
+        alters any draw, its order or its arithmetic changes them. The
+        binary variants run at c = 2 only, where they are defined.
+        """
+        assert _trace_digest(*key) == _TRACE_DIGESTS[key]

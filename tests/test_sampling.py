@@ -6,10 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import kstest, norm
 
+from mcmcdegen import sampling
 from mcmcdegen.sampling import (
     DegenerateIntervalError,
     Interval,
     RngStream,
+    SamplingError,
     gamma_draw,
     grid_inverse_cdf,
     truncated_normal,
@@ -131,6 +133,42 @@ class TestTruncatedNormal:
         a = truncated_normal_vec(*args, RngStream(9, "bits"))
         b = truncated_normal_vec(*args, RngStream(9, "bits"))
         assert np.array_equal(a, b)
+
+    def test_all_bulk_call_matches_mixed_call(self):
+        """A call whose windows all lie in the bulk runs on the whole arrays;
+        appending one tail window sends the same windows through the
+        gather/scatter path, which draws the bulk uniforms first. The bulk
+        draws must agree bit for bit, on one and on two axes."""
+        lo = np.array([-1.0, 0.5, -np.inf, 2.0, -3.0, -0.2])
+        hi = np.array([1.0, 2.5, -1.5, np.inf, -2.9, 0.2])
+        lo2, hi2 = np.stack([lo, lo[::-1]]), np.stack([hi, hi[::-1]])
+        for lo_k, hi_k in ((lo, hi), (lo2, hi2)):
+            shape = lo_k.shape[:-1] + (1,)
+            lo_t = np.concatenate([lo_k, np.full(shape, 7.0)], axis=-1)
+            hi_t = np.concatenate([hi_k, np.full(shape, 8.0)], axis=-1)
+            bulk = truncated_normal_vec(0.0, 1.0, lo_k, hi_k,
+                                        RngStream(12, "paths"))
+            mixed = truncated_normal_vec(0.0, 1.0, lo_t, hi_t,
+                                         RngStream(12, "paths"))
+            assert np.array_equal(bulk, mixed[..., :-1])
+            assert 7.0 <= mixed[..., -1].min() <= mixed[..., -1].max() <= 8.0
+
+    def test_mixed_bulk_and_tail_windows(self):
+        # bulk, both reflected tails, a one-sided tail and a tail sliver
+        lo = np.array([-1.0, 7.0, -9.0, 12.0, 6.5, 0.3, 8.0])
+        hi = np.array([0.5, 7.5, -8.0, np.inf, 30.0, 4.0, 8.00001])
+        a = truncated_normal_vec(0.0, 1.0, lo, hi, RngStream(13, "mixed"))
+        b = truncated_normal_vec(0.0, 1.0, lo, hi, RngStream(13, "mixed"))
+        assert np.all((a >= lo) & (a <= hi))
+        assert a.tobytes() == b.tobytes()
+
+    def test_window_guard_raises_without_assert(self, monkeypatch):
+        # A draw outside its window (here NaN from a broken inverse CDF)
+        # raises SamplingError, which ``python -O`` does not strip.
+        monkeypatch.setattr(sampling, "ndtri", lambda u: np.full_like(u, np.nan))
+        with pytest.raises(SamplingError):
+            truncated_normal_vec(0.0, 1.0, np.zeros(3), np.ones(3),
+                                 RngStream(14))
 
     @settings(max_examples=60, deadline=None)
     @given(mean=st.floats(-5, 5), sd=st.floats(0.05, 4),
