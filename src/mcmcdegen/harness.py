@@ -2,12 +2,13 @@
 
 A plan names a scenario (trace figures, the classification table, or a
 diagnostic sweep) and pins every knob that affects the numbers, plus a
-master seed. Cells of a plan are computed in memory (possibly in
-parallel); a single reducer then writes all files in sorted cell order so
-the bytes on disk never depend on thread scheduling. A manifest records
-the resolved configuration, per-cell seeds and timings, and a sha256
-inventory of every file written; re-running a plan over an intact output
-directory skips finished cells.
+master seed. Each cell of a plan runs on a thread pool and writes its own
+files, whose names and bytes depend only on the cell. A manifest records
+the resolved configuration, per-cell timings and the sha256 of every
+file written; it is saved as each cell finishes, so a run that stops
+partway keeps its finished cells. The summary (figure or table) is always
+built from the cell files read back from disk. Re-running a plan skips
+every cell whose files still carry their recorded digests.
 """
 
 from __future__ import annotations
@@ -23,8 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .kernels import (ChainTrace, VariantId, initial_state, run_chain,
-                      trace_filename)
+from .kernels import VariantId, load_trace, run_chain, trace_filename
 from .metrics import (DiagnosticsReport, classify_table1, estimate_R,
                       estimate_Rprime, one_step_statistic, table1_transform)
 from .model import CovariateSpec, ModelConfig, Theta, sample_dataset
@@ -48,7 +48,8 @@ DEFAULT_THETA0 = {
 #: 3 while the truth is 2, so a frozen ratio is visible immediately.
 ORDINAL_TRACE_START = Theta(alpha=(0.3, 0.9), beta=(-0.5,))
 
-_SCENARIOS = ("fig1", "fig2", "fig3", "table1", "diagnose", "custom")
+_FIGURES = ("fig1", "fig2", "fig3")
+_SCENARIOS = _FIGURES + ("table1", "diagnose", "custom")
 
 
 def default_theta0(c: int, p: int = 1) -> Theta:
@@ -137,7 +138,7 @@ def _sha256_file(path: Path) -> str:
 
 @dataclass
 class RunManifest:
-    """Record of a harness run: configuration, seeds, files, timings."""
+    """Record of a harness run: configuration, files, timings."""
 
     scenario: str
     config: dict
@@ -164,15 +165,35 @@ class RunManifest:
                    version=d.get("version", ""))
 
     def cell_done(self, key: str, out_dir: Path) -> bool:
-        cell = self.cells.get(key)
-        if not cell or "error" in cell or not cell.get("files"):
-            return False
-        return all((out_dir / f).exists() for f in cell["files"])
+        """Whether the cell finished and its files still carry the sha256
+        recorded for them."""
+        files = self.cells.get(key, {}).get("files")
+        return bool(files) and all(
+            (out_dir / f).exists()
+            and self.files.get(f) == _sha256_file(out_dir / f)
+            for f in files)
+
+    def record(self, key: str, out_dir: Path, files: list[str] | None = None,
+               error: str | None = None,
+               seconds: float | None = None) -> None:
+        """Set one cell's outcome, its files or its error; ``files`` keeps
+        the sha256 of exactly the files that cells list."""
+        entry = self.cells.setdefault(key, {})
+        for f in entry.pop("files", ()):
+            self.files.pop(f, None)
+        entry.pop("error", None)
+        if error is None:
+            entry["files"] = files
+            self.files.update((f, _sha256_file(out_dir / f)) for f in files)
+        else:
+            entry["error"] = error
+        if seconds is not None:
+            entry["seconds"] = round(seconds, 3)
 
 
 # --------------------------------------------------------------------------
-# cell builders: each returns (key, task) where task() -> payload, and the
-# reducer turns payloads into files.
+# cell builders: each returns (key, task) where task() -> payload;
+# _cell_files writes the payload, _read_cell reads it back for a reducer.
 
 def _model(plan: ExperimentPlan, c: int) -> ModelConfig:
     return ModelConfig(c=c, covariates=CovariateSpec(p=plan.p))
@@ -184,19 +205,18 @@ def _trace_cells(plan: ExperimentPlan):
     cells = []
     c = plan.c_list[0]
     cfg = _model(plan, c)
+    theta0 = plan.options.get("theta0") or default_theta0(c, plan.p)
     if c == 2:
-        theta0 = plan.options.get("theta0") or default_theta0(2, plan.p)
         start = plan.options.get("start") or Theta(alpha=(),
                                                    beta=(1.5,) * plan.p)
     else:
-        theta0 = plan.options.get("theta0") or default_theta0(c, plan.p)
         start = plan.options.get("start") or ORDINAL_TRACE_START
     for n in plan.n_list:
         for name in plan.variants:
             variant = VariantId.parse(name)
             key = f"{plan.scenario}/{name}/n{n}"
 
-            def task(variant=variant, n=n, key=key):
+            def task(variant=variant, n=n):
                 root = RngStream(plan.master_seed, plan.scenario)
                 data = sample_dataset(
                     cfg, theta0, n, seed=root.child("data", n).seed_int())
@@ -204,11 +224,10 @@ def _trace_cells(plan: ExperimentPlan):
                     cfg, data, variant, plan.m,
                     root.child("chain", variant.name, n),
                     init="fixed", theta=start, batch=1)
-                return {"trace": trace, "n": n, "variant": variant.name,
-                        "seed": root.child("data", n).seed_int()}
+                return {"trace": trace, "n": n}
 
             cells.append((key, task))
-    return cells, {"theta0": theta0, "start": start}
+    return cells, theta0
 
 
 def _table1_cells(plan: ExperimentPlan):
@@ -280,20 +299,20 @@ def _diagnose_cells(plan: ExperimentPlan):
 
 
 # --------------------------------------------------------------------------
-# reducers
+# cell files and reducers
 
 def _cell_files(plan: ExperimentPlan, key: str, payload,
                 out_dir: Path) -> list[str]:
-    """Write one finished cell's own files; cross-cell summaries (figures,
-    tables) are left to the reducers, which need every cell."""
+    """Write one finished cell's own files; their names and bytes depend
+    only on the cell."""
     if plan.scenario == "table1":
         fname = key.replace("/", "_") + ".json"
         payload.save(out_dir / fname)
         return [fname]
-    if plan.scenario in ("fig1", "fig2", "fig3"):
-        fname = trace_filename(VariantId.parse(payload["variant"]),
-                               payload["n"], 0)
-        payload["trace"].save(out_dir / fname, rep=0)
+    if plan.scenario in _FIGURES:
+        trace = payload["trace"]
+        fname = trace_filename(trace.variant, payload["n"], 0)
+        trace.save(out_dir / fname, rep=0)
         return [fname]
     files = []
     for stat, rep in sorted(payload.items()):
@@ -303,17 +322,25 @@ def _cell_files(plan: ExperimentPlan, key: str, payload,
     return files
 
 
-def _fmt_theta(theta: Theta) -> str:
-    parts = [f"{v:.6g}" for v in theta.alpha] + [f"{v:.6g}"
-                                                 for v in theta.beta]
-    return "(" + ", ".join(parts) + ")"
+def _read_cell(plan: ExperimentPlan, key: str, files: list[str],
+               out_dir: Path):
+    """Read a finished cell back from the files ``_cell_files`` wrote:
+    trace columns, a report, or a report per statistic."""
+    if plan.scenario in _FIGURES:
+        return load_trace(out_dir / files[0])
+    if plan.scenario == "table1":
+        return DiagnosticsReport.load(out_dir / files[0])
+    prefix = key.replace("/", "_") + "_"
+    return {f[len(prefix):-len(".json")]: DiagnosticsReport.load(out_dir / f)
+            for f in files}
 
 
 def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 theta0: Theta) -> list[str]:
     """Render trajectory panels from recorded chains.
 
-    fig1: one panel per sample size; the slope trajectory of both binary
+    ``traces`` maps cell keys to the columns ``load_trace`` reads. fig1:
+    one panel per sample size; the slope trajectory of both binary
     samplers. fig2: one panel per parameter (two cuts and the slope);
     solid without the rescaling move, dashed with it (plotting its
     identified trajectory). fig3: one panel, the ratio of the third to the
@@ -324,10 +351,10 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
         for n in plan.n_list:
             series = []
             for name, dash in (("binary-null", False), ("binary-beta", True)):
-                trace = traces[f"fig1/{name}/n{n}"]
+                slope = traces[f"fig1/{name}/n{n}"]["beta1"]
                 series.append(svg.Series(
-                    name=name, x=np.arange(trace.steps.size, dtype=float),
-                    y=trace.beta[:, 0, 0], dashed=dash))
+                    name=name, x=np.arange(slope.size, dtype=float),
+                    y=slope, dashed=dash))
             panels.append(svg.Panel(
                 title=f"slope trajectory, n={n}", series=series,
                 hline=theta0.beta[0], ylabel="slope"))
@@ -335,31 +362,29 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
         n = plan.n_list[0]
         raw = traces[f"fig2/beta/n{n}"]
         ma = traces[f"fig2/beta-ma/n{n}"]
-        ident = ma.identified()
-        labels = [("second cut", raw.alpha[:, 0, 0], ident[:, 0, 0],
-                   theta0.alpha[0]),
-                  ("third cut", raw.alpha[:, 0, 1], ident[:, 0, 1],
-                   theta0.alpha[1]),
-                  ("slope", raw.beta[:, 0, 0], ident[:, 0, raw.alpha.shape[2]],
-                   theta0.beta[0])]
-        x = np.arange(raw.steps.size, dtype=float)
-        for title, solid, dashed, truth in labels:
+        labels = [("second cut", "alpha2", theta0.alpha[0]),
+                  ("third cut", "alpha3", theta0.alpha[1]),
+                  ("slope", "beta1", theta0.beta[0])]
+        x = np.arange(raw["step"].size, dtype=float)
+        for title, col, truth in labels:
             panels.append(svg.Panel(
                 title=f"{title} trajectory, n={n}",
-                series=[svg.Series("without rescale", x, solid, dashed=False),
-                        svg.Series("with rescale", x, dashed, dashed=True)],
+                series=[svg.Series("without rescale", x, raw[col],
+                                   dashed=False),
+                        svg.Series("with rescale", x, ma[f"g{col}"],
+                                   dashed=True)],
                 hline=truth, ylabel=title))
     elif plan.scenario == "fig3":
         n = plan.n_list[0]
         raw = traces[f"fig3/beta/n{n}"]
         ma = traces[f"fig3/beta-ma/n{n}"]
-        x = np.arange(raw.steps.size, dtype=float)
-        ratio_raw = raw.alpha[:, 0, 1] / raw.alpha[:, 0, 0]
-        ratio_ma = ma.alpha[:, 0, 1] / ma.alpha[:, 0, 0]
+        x = np.arange(raw["step"].size, dtype=float)
         panels.append(svg.Panel(
             title=f"cut-ratio trajectory, n={n}",
-            series=[svg.Series("without rescale", x, ratio_raw, dashed=False),
-                    svg.Series("with rescale", x, ratio_ma, dashed=True)],
+            series=[svg.Series("without rescale", x, raw["ratio32"],
+                               dashed=False),
+                    svg.Series("with rescale", x, ma["ratio32"],
+                               dashed=True)],
             hline=theta0.alpha[1] / theta0.alpha[0], ylabel="third/second cut"))
     else:
         raise ValueError(f"scenario {plan.scenario!r} has no figure")
@@ -367,28 +392,10 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
     return [path.name]
 
 
-def _reduce_traces(plan: ExperimentPlan, results: dict, out_dir: Path,
-                   meta: dict) -> dict:
-    written: dict[str, list[str]] = {}
-    traces = {}
-    for key in sorted(results):
-        payload = results[key]
-        trace: ChainTrace = payload["trace"]
-        fname = trace_filename(VariantId.parse(payload["variant"]),
-                               payload["n"], 0)
-        trace.save(out_dir / fname, rep=0)
-        written[key] = [fname]
-        traces[key] = trace
-    figname = f"{plan.scenario}.svg"
-    emit_figure(plan, traces, out_dir / figname, meta["theta0"])
-    written[f"{plan.scenario}/figure"] = [figname]
-    return written
-
-
-def _reduce_table1(plan: ExperimentPlan, results: dict,
-                   out_dir: Path) -> dict:
+def _reduce_table1(plan: ExperimentPlan, reports: dict,
+                   out_dir: Path) -> list[str]:
     grouped: dict[tuple[str, int], dict[int, DiagnosticsReport]] = {}
-    for key, rep in results.items():
+    for key, rep in reports.items():
         _, name, ctag, ntag = key.split("/")
         cell = (name, int(ctag[1:]))
         grouped.setdefault(cell, {})[int(ntag[1:])] = rep
@@ -406,37 +413,35 @@ def _reduce_table1(plan: ExperimentPlan, results: dict,
     with open(out_dir / "table1.json", "w") as fh:
         json.dump(detail, fh, indent=2, sort_keys=True, default=float)
         fh.write("\n")
-    written = {key: _cell_files(plan, key, results[key], out_dir)
-               for key in sorted(results)}
-    written["table1/summary"] = ["table1.csv", "table1.json"]
-    return written
+    return ["table1.csv", "table1.json"]
 
 
-def _reduce_diagnose(plan: ExperimentPlan, results: dict,
-                     out_dir: Path) -> dict:
-    written: dict[str, list[str]] = {}
+def _reduce_diagnose(plan: ExperimentPlan, stats: dict,
+                     out_dir: Path) -> list[str]:
     rows = ["variant,c,n,statistic,value,se"]
-    for key in sorted(results):
+    for key in sorted(stats):
         _, name, ctag, ntag = key.split("/")
-        written[key] = _cell_files(plan, key, results[key], out_dir)
-        for stat, rep in sorted(results[key].items()):
+        for stat, rep in sorted(stats[key].items()):
             for est in sorted(rep.estimates):
                 rows.append(f"{name},{ctag[1:]},{ntag[1:]},{stat}:{est},"
                             f"{rep.value(est):.17g},{rep.se(est):.17g}")
     (out_dir / "diagnostics.csv").write_text("\n".join(rows) + "\n")
-    written[f"{plan.scenario}/summary"] = ["diagnostics.csv"]
-    return written
+    return ["diagnostics.csv"]
 
 
 # --------------------------------------------------------------------------
 
 def orchestrate(plan: ExperimentPlan) -> RunManifest:
-    """Run every cell of a plan and write its outputs.
+    """Run every pending cell of a plan, then rebuild its summary.
 
-    Cells execute on a thread pool; all file writes happen afterwards in
-    sorted cell order, so outputs are byte-identical for any thread
-    count. Finished cells recorded in an existing manifest with matching
-    configuration are skipped.
+    Cells run on a pool of ``plan.threads`` threads and each writes its own
+    files; the manifest records a cell's files and their sha256 and is
+    saved as each result arrives, so a run that stops partway keeps its
+    finished cells. A cell is pending unless an existing manifest with the
+    same configuration lists files that still carry their digests. The
+    summary (figure or table) is read back from the cell files on disk and
+    rebuilt whenever a cell ran or its own files fail that check, so the
+    outputs are byte-identical for any thread count and any resume.
     """
     from . import __version__
 
@@ -454,43 +459,39 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
         if old and old.config == manifest.config:
             manifest = old
 
-    meta: dict = {}
-    if plan.scenario in ("fig1", "fig2", "fig3"):
-        cells, meta = _trace_cells(plan)
+    if plan.scenario in _FIGURES:
+        cells, theta0 = _trace_cells(plan)
+        summary = f"{plan.scenario}/figure"
     elif plan.scenario == "table1":
         cells = _table1_cells(plan)
+        summary = "table1/summary"
     else:
         cells = _diagnose_cells(plan)
+        summary = f"{plan.scenario}/summary"
 
     pending = [(k, t) for k, t in cells
                if not manifest.cell_done(k, out_dir)]
-    results: dict = {}
-    failures: dict = {}
-    timings: dict = {}
-    if pending:
-        def run(item):
-            key, task = item
-            t0 = time.perf_counter()
-            try:
-                out, err = task(), None
-            except Exception as exc:  # isolate the cell; recorded below
-                out, err = None, exc
-            return key, out, time.perf_counter() - t0, err
 
-        if plan.threads > 1:
-            with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-                outcomes = list(pool.map(run, pending))
-        else:
-            outcomes = [run(item) for item in pending]
-        for key, out, dt, err in outcomes:
-            timings[key] = dt
+    def run(item):
+        key, task = item
+        t0 = time.perf_counter()
+        try:
+            files, err = _cell_files(plan, key, task(), out_dir), None
+        except Exception as exc:  # isolate the cell; recorded below
+            files, err = None, exc
+        return key, files, time.perf_counter() - t0, err
+
+    failures: dict = {}
+    with ThreadPoolExecutor(max_workers=plan.threads) as pool:
+        for key, files, dt, err in pool.map(run, pending):
             if err is None:
-                results[key] = out
+                manifest.record(key, out_dir, files=files, seconds=dt)
             else:
                 failures[key] = err
-
+                manifest.record(key, out_dir, seconds=dt,
+                                error=f"{type(err).__name__}: {err}")
+            manifest.save(mpath)
     if failures:
-        _record_partial(plan, manifest, results, failures, timings, out_dir)
         names = ", ".join(sorted(failures))
         first = failures[sorted(failures)[0]]
         raise RuntimeError(
@@ -498,43 +499,18 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
             f"finished cells and failure records are in "
             f"{mpath}") from first
 
-    # The reducers need every cell's payload; recompute nothing for cells
-    # already on disk, but summary files depend on all cells, so a partial
-    # resume reloads finished payloads from their files.
-    if plan.scenario == "table1":
-        _load_finished_reports(manifest, results, cells, out_dir)
-        written = _reduce_table1(plan, results, out_dir)
-    elif plan.scenario in ("fig1", "fig2", "fig3"):
-        if results:
-            full = dict(results)
-            _load_finished_traces(manifest, full, cells, out_dir)
-            written = _reduce_traces(plan, full, out_dir, meta)
+    if pending or not manifest.cell_done(summary, out_dir):
+        found = {key: _read_cell(plan, key, manifest.cells[key]["files"],
+                                 out_dir) for key, _ in cells}
+        if plan.scenario in _FIGURES:
+            files = emit_figure(plan, found, out_dir / f"{plan.scenario}.svg",
+                                theta0)
+        elif plan.scenario == "table1":
+            files = _reduce_table1(plan, found, out_dir)
         else:
-            written = {k: v.get("files", []) for k, v in
-                       manifest.cells.items()}
-    else:  # diagnose, custom
-        if results:
-            full = dict(results)
-            _load_finished_stats(manifest, full, cells, out_dir)
-            written = _reduce_diagnose(plan, full, out_dir)
-        elif not manifest.cells:
-            written = _reduce_diagnose(plan, {}, out_dir)
-        else:
-            written = {k: v.get("files", []) for k, v in
-                       manifest.cells.items()}
-
-    for key, files in written.items():
-        entry = manifest.cells.get(key, {})
-        entry["files"] = files
-        entry.pop("error", None)
-        if key in timings:
-            entry["seconds"] = round(timings[key], 3)
-        manifest.cells[key] = entry
-    manifest.files = {}
-    for files in written.values():
-        for f in files:
-            manifest.files[f] = _sha256_file(out_dir / f)
-    manifest.save(mpath)
+            files = _reduce_diagnose(plan, found, out_dir)
+        manifest.record(summary, out_dir, files=files)
+        manifest.save(mpath)
     return manifest
 
 
@@ -548,83 +524,3 @@ def _jsonable_config(plan: ExperimentPlan) -> dict:
             return {k: conv(x) for k, x in v.items()}
         return v
     return {k: conv(v) for k, v in plan.config_dict().items()}
-
-
-def _load_finished_reports(manifest: RunManifest, results: dict, cells,
-                           out_dir: Path) -> None:
-    for key, _ in cells:
-        if key in results:
-            continue
-        files = manifest.cells.get(key, {}).get("files", [])
-        if files:
-            results[key] = DiagnosticsReport.load(out_dir / files[0])
-
-
-def _load_finished_stats(manifest: RunManifest, results: dict, cells,
-                         out_dir: Path) -> None:
-    for key, _ in cells:
-        if key in results:
-            continue
-        files = manifest.cells.get(key, {}).get("files", [])
-        if not files:
-            continue
-        prefix = key.replace("/", "_") + "_"
-        results[key] = {
-            f[len(prefix):-len(".json")]: DiagnosticsReport.load(out_dir / f)
-            for f in files}
-
-
-def _record_partial(plan: ExperimentPlan, manifest: RunManifest,
-                    results: dict, failures: dict, timings: dict,
-                    out_dir: Path) -> None:
-    """After a cell failure: write the finished cells' own files and
-    record each failure in the manifest, so a later run with the same
-    configuration retries only the failed cells."""
-    for key in sorted(results):
-        entry = manifest.cells.get(key, {})
-        entry["files"] = _cell_files(plan, key, results[key], out_dir)
-        entry.pop("error", None)
-        if key in timings:
-            entry["seconds"] = round(timings[key], 3)
-        manifest.cells[key] = entry
-    for key in sorted(failures):
-        entry = manifest.cells.get(key, {})
-        entry.pop("files", None)
-        entry["error"] = f"{type(failures[key]).__name__}: {failures[key]}"
-        if key in timings:
-            entry["seconds"] = round(timings[key], 3)
-        manifest.cells[key] = entry
-    manifest.files = {
-        f: _sha256_file(out_dir / f)
-        for cell in manifest.cells.values()
-        for f in cell.get("files", [])
-        if (out_dir / f).exists()}
-    manifest.save(out_dir / "manifest.json")
-
-
-def _load_finished_traces(manifest: RunManifest, results: dict, cells,
-                          out_dir: Path) -> None:
-    from .kernels import load_trace
-
-    for key, _ in cells:
-        if key in results:
-            continue
-        files = manifest.cells.get(key, {}).get("files", [])
-        if not files:
-            continue
-        _, name, ntag = key.split("/")
-        cols = load_trace(out_dir / files[0])
-        variant = VariantId.parse(name)
-        acols = sorted((k for k in cols if k.startswith("alpha")),
-                       key=lambda k: int(k[5:]))
-        bcols = sorted((k for k in cols if k.startswith("beta")),
-                       key=lambda k: int(k[4:]))
-        steps = cols["step"]
-        trace = ChainTrace(
-            variant=variant, c=len(acols) + 2, p=len(bcols), steps=steps,
-            alpha=np.stack([cols[k] for k in acols], axis=-1)[:, None, :]
-            if acols else np.zeros((steps.size, 1, 0)),
-            beta=np.stack([cols[k] for k in bcols], axis=-1)[:, None, :],
-            g=cols["g"][:, None])
-        results[key] = {"trace": trace, "variant": name,
-                        "n": int(ntag[1:]), "seed": None}

@@ -69,8 +69,29 @@ class TestPlans:
         assert len(t2p2.beta) == 2
 
 
+_SMALL_TABLE = dict(
+    R=4, variants=("beta",), c_list=(2,), n_list=(100, 400, 1600),
+    options={"datasets": 2, "inner": 2, "starts": 2, "bank_size": 128,
+             "pool": 1024},
+)
+
+_SMALL = {
+    "fig1": dict(n_list=(40,), m=10),
+    "fig2": dict(n_list=(60,), m=8),
+    "fig3": dict(n_list=(60,), m=8),
+    "table1": _SMALL_TABLE,
+    "diagnose": _SMALL_DIAG,
+}
+
+
 def _files_bytes(out_dir, manifest):
     return {name: (out_dir / name).read_bytes() for name in manifest.files}
+
+
+def _first_cell_file(manifest):
+    """The first file of the first cell (not a summary) in key order."""
+    return next(cell["files"][0] for _, cell in sorted(manifest.cells.items())
+                if "seconds" in cell)
 
 
 class TestDeterminism:
@@ -109,15 +130,60 @@ class TestResume:
         assert all("seconds" in c for k, c in m2.cells.items()
                    if not k.endswith("figure"))
 
-    def test_missing_file_recomputed_identically(self, tmp_path):
-        plan = make_plan("fig1", out_dir=str(tmp_path), n_list=(40,), m=10)
+    # A deleted cell file is recomputed; a deleted summary is rebuilt.
+    @pytest.mark.parametrize("scenario, victim", [
+        ("fig1", None), ("fig2", None), ("fig3", None), ("table1", None),
+        ("fig1", "fig1.svg"), ("diagnose", "diagnostics.csv"),
+    ], ids=["fig1", "fig2", "fig3", "table1", "fig1-summary",
+            "diagnose-summary"])
+    def test_missing_file_recomputed_identically(self, tmp_path, scenario,
+                                                 victim):
+        plan = make_plan(scenario, out_dir=str(tmp_path), **_SMALL[scenario])
         m1 = orchestrate(plan)
         blobs = _files_bytes(tmp_path, m1)
-        victim = next(n for n in m1.files if n.endswith(".csv"))
-        (tmp_path / victim).unlink()
+        (tmp_path / (victim or _first_cell_file(m1))).unlink()
         m2 = orchestrate(plan)
         assert m2.files == m1.files
         assert _files_bytes(tmp_path, m2) == blobs
+
+    def test_damaged_cell_file_recomputed(self, tmp_path):
+        plan = make_plan("fig1", out_dir=str(tmp_path), **_SMALL["fig1"])
+        m1 = orchestrate(plan)
+        blobs = _files_bytes(tmp_path, m1)
+        victim = tmp_path / _first_cell_file(m1)
+        victim.write_text(victim.read_text().splitlines()[0] + "\n")
+        m2 = orchestrate(plan)
+        assert m2.files == m1.files
+        assert _files_bytes(tmp_path, m2) == blobs
+
+    def test_interrupted_run_keeps_finished_cells(self, tmp_path,
+                                                  monkeypatch):
+        import mcmcdegen.harness as harness_mod
+
+        real = one_step_statistic
+        calls = []
+
+        def interrupted(variant, cfg, n, R, transform, seed, **kw):
+            if n == 80:
+                raise KeyboardInterrupt
+            return real(variant, cfg, n, R, transform, seed, **kw)
+
+        def counting(variant, cfg, n, R, transform, seed, **kw):
+            calls.append(n)
+            return real(variant, cfg, n, R, transform, seed, **kw)
+
+        plan = make_plan("diagnose", out_dir=str(tmp_path),
+                         **dict(_SMALL_DIAG, n_list=(60, 80)))
+        monkeypatch.setattr(harness_mod, "one_step_statistic", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            orchestrate(plan)
+        monkeypatch.setattr(harness_mod, "one_step_statistic", counting)
+        manifest = orchestrate(plan)
+        assert calls == [80]
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+        assert {row.split(",")[2] for row in rows[1:]} == {"60", "80"}
+        assert set(manifest.files) == {
+            f for cell in manifest.cells.values() for f in cell["files"]}
 
     def test_changed_config_recomputes(self, tmp_path):
         orchestrate(make_plan("fig1", out_dir=str(tmp_path), n_list=(40,),
@@ -180,6 +246,25 @@ class TestFailureRecords:
         rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
         assert {row.split(",")[2] for row in rows[1:]} == {"60", "80"}
 
+    def test_failed_rerun_leaves_no_stale_digest(self, tmp_path,
+                                                 monkeypatch):
+        import mcmcdegen.harness as harness_mod
+
+        def broken(*args, **kw):
+            raise ValueError("synthetic cell failure")
+
+        plan = make_plan("diagnose", out_dir=str(tmp_path), **_SMALL_DIAG)
+        victim = _first_cell_file(orchestrate(plan))
+        (tmp_path / victim).unlink()
+        monkeypatch.setattr(harness_mod, "one_step_statistic", broken)
+        with pytest.raises(RuntimeError, match="1 of 1 cells failed"):
+            orchestrate(plan)
+        manifest = RunManifest.load(tmp_path / "manifest.json")
+        assert victim not in manifest.files
+        assert set(manifest.files) == {
+            f for cell in manifest.cells.values()
+            for f in cell.get("files", [])}
+
 
 class TestDiagnoseCells:
     def test_report_matches_direct_estimate(self, tmp_path):
@@ -207,11 +292,8 @@ class TestDiagnoseCells:
 
 class TestTableOutputs:
     def test_csv_and_detail(self, tmp_path):
-        plan = make_plan(
-            "table1", out_dir=str(tmp_path), threads=2, R=4,
-            variants=("beta",), c_list=(2,), n_list=(100, 400, 1600),
-            options={"datasets": 2, "inner": 2, "starts": 2,
-                     "bank_size": 128, "pool": 1024})
+        plan = make_plan("table1", out_dir=str(tmp_path), threads=2,
+                         **_SMALL_TABLE)
         manifest = orchestrate(plan)
         lines = (tmp_path / "table1.csv").read_text().splitlines()
         assert lines[0] == "variant,c,n,D,se,label"
@@ -246,6 +328,24 @@ class TestFigures:
         body = (tmp_path / "fig3.svg").read_text()
         assert "cut-ratio trajectory" in body
         assert body.count("<polyline") == 2
+
+    # sha256 of each figure at the small sizes, recorded at 47da3ed, when
+    # the figures were drawn from in-memory chains rather than trace files.
+    FIGURE_SHA256 = {
+        "fig1": "315925aa1a08202e119cffb5e754618e"
+                "7ff6b365afbe10839bbb45839e9118a0",
+        "fig2": "5ef8192b08eafbf8dc8d83ad96494dd9"
+                "d54e33328008a583cdbc2cbb8c30dcc1",
+        "fig3": "2800b1286f7cae791f62fbb4b5b6dc44"
+                "4d18d576d17fca788664e4cc3a27bde4",
+    }
+
+    @pytest.mark.parametrize("scenario", sorted(FIGURE_SHA256))
+    def test_figure_bytes_pinned(self, tmp_path, scenario):
+        manifest = orchestrate(make_plan(scenario, out_dir=str(tmp_path),
+                                         **_SMALL[scenario]))
+        assert (manifest.files[f"{scenario}.svg"]
+                == self.FIGURE_SHA256[scenario])
 
     def test_manifest_hashes_are_accurate(self, tmp_path):
         plan = make_plan("fig1", out_dir=str(tmp_path), n_list=(40,), m=10)
