@@ -7,10 +7,9 @@ proposal (``build_reference_sir``) when many independent references are
 needed cheaply. A normal surrogate N(theta_hat, I^{-1}/n) rides along as a
 cross-check, not as the target.
 
-The information side provides the augmented-model matrix K_M in two flavors:
-the quoted closed form (``km_matrix``) and the form our Monte Carlo score
-oracle actually supports (``km_matrix_effective``); where the two disagree
-the discrepancy is reported and downstream consumers use the effective one.
+The information side provides the augmented-model matrix K_M in the form a
+Monte Carlo score simulation supports (``km_matrix_effective``); for the
+probit link its slope block is half that of the quoted closed form.
 """
 
 from __future__ import annotations
@@ -21,10 +20,10 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate, optimize, stats
+from scipy import optimize, stats
 
 from .kernels import VariantId, run_chain
-from .metrics import EmpiricalMeasure, central_value
+from .metrics import central_value
 from .model import (
     Dataset,
     ModelConfig,
@@ -142,7 +141,7 @@ def build_reference(cfg: ModelConfig, data: Dataset, seed: int,
     else:
         warnings.append(f"split-half KS still failing (p={pmin:.2e}) after doubling")
 
-    theta_hat = central_value(EmpiricalMeasure.from_points(sample))
+    theta_hat = central_value(sample)
     info = fisher_information(cfg, Theta.from_vector(theta_hat, cfg.c, cfg.p))
     bvm_cov = np.linalg.inv(info.matrix) / data.n
     return ReferencePosterior(
@@ -163,14 +162,6 @@ def build_reference(cfg: ModelConfig, data: Dataset, seed: int,
         },
         warnings=warnings,
     )
-
-
-def _cone_to_free(theta: Theta) -> np.ndarray:
-    a = theta.alpha
-    if a.size == 0:
-        return theta.beta.copy()
-    incs = np.diff(np.concatenate([[0.0], a]))
-    return np.concatenate([np.log(incs), theta.beta])
 
 
 def _free_to_cone(vec: np.ndarray, c: int, p: int) -> Theta:
@@ -294,7 +285,7 @@ def sir_reference(cfg: ModelConfig, data: Dataset, size: int, seed: int,
     meta: dict = {}
     bank = build_reference_sir(cfg, data, size, RngStream(seed, "sir"),
                                pool=pool, info=meta)
-    theta_hat = central_value(EmpiricalMeasure.from_points(bank))
+    theta_hat = central_value(bank)
     fi = fisher_information(cfg, Theta.from_vector(theta_hat, cfg.c, cfg.p))
     return ReferencePosterior(
         sample=bank,
@@ -345,33 +336,6 @@ class FisherBlocks:
         return out
 
 
-def km_matrix(variant: VariantId | str, g: float, K: float, L: float,
-              Sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """Quoted closed form of the augmented-model information K_M.
-
-    For the augmented null kernel the moving block is the working scale g
-    and K_M = K / g^2. For the augmented beta kernel the moving block is
-    (beta, g) and the quoted matrix is [[g^2 K Sigma, L mu], [L mu', K/g^2]].
-    This is the form as stated; ``km_matrix_effective`` is what the score
-    simulation supports (see that docstring).
-    """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
-    if not variant.augmented:
-        raise ValueError("quoted K_M forms exist for augmented variants only")
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if variant.parameterization == "null":
-        return np.array([[K / g ** 2]])
-    p = Sigma.shape[0]
-    out = np.empty((p + 1, p + 1))
-    out[:p, :p] = g ** 2 * K * Sigma
-    out[:p, p] = L * mu
-    out[p, :p] = L * mu
-    out[p, p] = K / g ** 2
-    return out
-
-
 def km_matrix_effective(variant: VariantId | str, g: float, J0: float, K: float,
                         L: float, Sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
     """K_M with the slope block carrying J0 = E (f'/f)^2 instead of K.
@@ -400,34 +364,6 @@ def km_matrix_effective(variant: VariantId | str, g: float, J0: float, K: float,
     out[p, :p] = L * mu
     out[p, p] = K / g ** 2
     return out
-
-
-def mc_km_matrix(variant: VariantId | str, cfg: ModelConfig, theta: Theta,
-                 g: float = 1.0, size: int = 100_000,
-                 seed: int = 20_240_602) -> np.ndarray:
-    """Monte Carlo second moment of the per-observation moving-block score.
-
-    Simulates (x, z) from the augmented complete-data model at (theta, g)
-    and averages the outer product of the score in the moving block. This
-    is the adjudicating oracle for the K_M closed forms.
-    """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
-    gen = RngStream(seed, "km-oracle", variant.name).generator
-    if variant.parameterization == "null":
-        if not variant.augmented:
-            raise ValueError("no score-based K_M for the unaugmented null kernel")
-        z = gen.normal(0.0, 1.0 / g, size)
-        score = (1.0 / g - g * z * z)[:, None]
-        return score.T @ score / size
-    x = gen.random((size, cfg.p))
-    w = gen.standard_normal(size)
-    score_beta = -g * w[:, None] * x
-    if not variant.augmented:
-        return score_beta.T @ score_beta / size
-    score_g = ((1.0 - w * w) / g)[:, None]
-    score = np.concatenate([score_beta, score_g], axis=1)
-    return score.T @ score / size
 
 
 def fisher_blocks(variant: VariantId | str, cfg: ModelConfig, theta: Theta,
@@ -504,60 +440,3 @@ def kernel_normal_approx(variant: VariantId | str, cfg: ModelConfig,
     cov = 0.5 * (cov + cov.T)
     return KernelApprox(mean=mean, cov=cov, blocks=blocks,
                         findings=tuple(findings))
-
-
-@dataclasses.dataclass(frozen=True)
-class TwoPointTest:
-    """A two-observation test against a covariate-ball alternative.
-
-    ``z_i`` is a point of the covariate support, ``delta`` the ball radius,
-    ``p_i`` the covariate mass of the ball, and ``c_i`` the weight placed on
-    the matched-label statistic; c_i in (1/2, 1) makes the expected value at
-    the truth fall below 1/2 while the runaway-parameter limit exceeds it.
-    """
-
-    i: int
-    z_i: float
-    delta: float
-    c_i: float
-    p_i: float = dataclasses.field(init=False)
-
-    def __post_init__(self):
-        if not 0 < self.delta:
-            raise ValueError("delta must be positive")
-        if not 0 < self.c_i < 1:
-            raise ValueError("c_i must be in (0, 1)")
-        lo, hi = self.bounds()
-        object.__setattr__(self, "p_i", hi - lo)
-        if self.p_i <= 0:
-            raise ValueError("the covariate ball carries no mass")
-
-    def bounds(self):
-        return max(0.0, self.z_i - self.delta), min(1.0, self.z_i + self.delta)
-
-
-def two_point_test_value(test: TwoPointTest, theta: Theta, cfg: ModelConfig,
-                         quad_tol: float = 1e-10) -> float:
-    """Expected value of the two-observation test statistic at theta.
-
-    (1 - p_i^2) / 2 + c_i (int_B F(theta x) P(dx))^2
-                    + c_i (int_B (1 - F(theta x)) P(dx))^2
-    for the binary model with scalar covariate uniform on the unit
-    interval; B is the ball around z_i.
-    """
-    if cfg.c != 2 or cfg.p != 1:
-        raise ValueError("the two-point test is built for the binary scalar model")
-    lo, hi = test.bounds()
-    b = float(theta.beta[0])
-    F = cfg.link.F
-
-    a_int, a_err = integrate.quad(lambda x: float(F(b * x)), lo, hi,
-                                  epsabs=quad_tol, epsrel=quad_tol)
-    if a_err > 1e-8:
-        raise NumericalFailure("two-point test quadrature did not converge")
-    b_int = (hi - lo) - a_int
-    return float(
-        (1.0 - test.p_i ** 2) / 2.0
-        + test.c_i * a_int ** 2
-        + test.c_i * b_int ** 2
-    )

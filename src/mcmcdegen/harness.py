@@ -17,7 +17,8 @@ import dataclasses
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
+import threading
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -48,7 +49,10 @@ DEFAULT_THETA0 = {
 #: 3 while the truth is 2, so a frozen ratio is visible immediately.
 ORDINAL_TRACE_START = Theta(alpha=(0.3, 0.9), beta=(-0.5,))
 
-_FIGURES = ("fig1", "fig2", "fig3")
+#: The pair of kernels each trajectory figure draws.
+_FIGURE_VARIANTS = {"fig1": ("binary-null", "binary-beta"),
+                    "fig2": ("beta", "beta-ma"), "fig3": ("beta", "beta-ma")}
+_FIGURES = tuple(_FIGURE_VARIANTS)
 _SCENARIOS = _FIGURES + ("table1", "diagnose", "custom")
 
 
@@ -90,15 +94,14 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of "
                          f"{', '.join(_SCENARIOS)}")
     defaults: dict = {"scenario": scenario}
+    if scenario in _FIGURES:
+        defaults["variants"] = _FIGURE_VARIANTS[scenario]
     if scenario == "fig1":
-        defaults.update(n_list=(100, 1000), m=200,
-                        variants=("binary-null", "binary-beta"), c_list=(2,))
+        defaults.update(n_list=(100, 1000), m=200, c_list=(2,))
     elif scenario == "fig2":
-        defaults.update(n_list=(1000,), m=200,
-                        variants=("beta", "beta-ma"), c_list=(4,))
+        defaults.update(n_list=(1000,), m=200, c_list=(4,))
     elif scenario == "fig3":
-        defaults.update(n_list=(1000,), m=1000,
-                        variants=("beta", "beta-ma"), c_list=(4,))
+        defaults.update(n_list=(1000,), m=1000, c_list=(4,))
     elif scenario == "table1":
         defaults.update(n_list=(100, 400, 1600), R=50,
                         variants=("null", "beta", "null-ma", "beta-ma"),
@@ -117,6 +120,12 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
                                      and plan.n_list):
         raise ValueError("scenario 'custom' carries no defaults; pass "
                          "variants, c_list and n_list explicitly")
+    if (scenario in _FIGURES
+            and tuple(plan.variants) != _FIGURE_VARIANTS[scenario]):
+        raise ValueError(
+            f"scenario {scenario!r} draws the variants "
+            f"{', '.join(_FIGURE_VARIANTS[scenario])}; got "
+            f"{', '.join(plan.variants)}")
     if scenario in ("fig2", "fig3") and any(c < 4 for c in plan.c_list):
         raise ValueError(
             f"scenario {scenario!r} plots the ratio of the second and third "
@@ -350,7 +359,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
     if plan.scenario == "fig1":
         for n in plan.n_list:
             series = []
-            for name, dash in (("binary-null", False), ("binary-beta", True)):
+            for name, dash in zip(_FIGURE_VARIANTS["fig1"], (False, True)):
                 slope = traces[f"fig1/{name}/n{n}"]["beta1"]
                 series.append(svg.Series(
                     name=name, x=np.arange(slope.size, dtype=float),
@@ -360,8 +369,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 hline=theta0.beta[0], ylabel="slope"))
     elif plan.scenario == "fig2":
         n = plan.n_list[0]
-        raw = traces[f"fig2/beta/n{n}"]
-        ma = traces[f"fig2/beta-ma/n{n}"]
+        raw, ma = (traces[f"fig2/{v}/n{n}"] for v in _FIGURE_VARIANTS["fig2"])
         labels = [("second cut", "alpha2", theta0.alpha[0]),
                   ("third cut", "alpha3", theta0.alpha[1]),
                   ("slope", "beta1", theta0.beta[0])]
@@ -376,8 +384,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 hline=truth, ylabel=title))
     elif plan.scenario == "fig3":
         n = plan.n_list[0]
-        raw = traces[f"fig3/beta/n{n}"]
-        ma = traces[f"fig3/beta-ma/n{n}"]
+        raw, ma = (traces[f"fig3/{v}/n{n}"] for v in _FIGURE_VARIANTS["fig3"])
         x = np.arange(raw["step"].size, dtype=float)
         panels.append(svg.Panel(
             title=f"cut-ratio trajectory, n={n}",
@@ -436,12 +443,13 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
 
     Cells run on a pool of ``plan.threads`` threads and each writes its own
     files; the manifest records a cell's files and their sha256 and is
-    saved as each result arrives, so a run that stops partway keeps its
-    finished cells. A cell is pending unless an existing manifest with the
-    same configuration lists files that still carry their digests. The
-    summary (figure or table) is read back from the cell files on disk and
-    rebuilt whenever a cell ran or its own files fail that check, so the
-    outputs are byte-identical for any thread count and any resume.
+    saved as each cell finishes, in whatever order, so a run that stops
+    partway keeps every finished cell. A cell is pending unless an existing
+    manifest with the same configuration lists files that still carry their
+    digests. The summary (figure or table) is read back from the cell files
+    on disk and rebuilt whenever a cell ran or its own files fail that
+    check, so the outputs are byte-identical for any thread count and any
+    resume.
     """
     from . import __version__
 
@@ -472,18 +480,17 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
     pending = [(k, t) for k, t in cells
                if not manifest.cell_done(k, out_dir)]
 
-    def run(item):
-        key, task = item
+    failures: dict = {}
+    lock = threading.Lock()
+
+    def run(key, task):
         t0 = time.perf_counter()
         try:
             files, err = _cell_files(plan, key, task(), out_dir), None
         except Exception as exc:  # isolate the cell; recorded below
             files, err = None, exc
-        return key, files, time.perf_counter() - t0, err
-
-    failures: dict = {}
-    with ThreadPoolExecutor(max_workers=plan.threads) as pool:
-        for key, files, dt, err in pool.map(run, pending):
+        dt = time.perf_counter() - t0
+        with lock:
             if err is None:
                 manifest.record(key, out_dir, files=files, seconds=dt)
             else:
@@ -491,6 +498,15 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
                 manifest.record(key, out_dir, seconds=dt,
                                 error=f"{type(err).__name__}: {err}")
             manifest.save(mpath)
+
+    pool = ThreadPoolExecutor(max_workers=plan.threads)
+    try:
+        for future in as_completed([pool.submit(run, *c) for c in pending]):
+            future.result()  # a cell's KeyboardInterrupt surfaces here
+    finally:
+        # Cells not yet started are dropped; running ones finish and
+        # record themselves.
+        pool.shutdown(cancel_futures=True)
     if failures:
         names = ", ".join(sorted(failures))
         first = failures[sorted(failures)[0]]

@@ -312,22 +312,6 @@ def kernel_step(cfg: ModelConfig, data: Dataset, state: ChainState,
     return state
 
 
-def step_binary_null(cfg: ModelConfig, data: Dataset, state: ChainState,
-                     rng: RngStream):
-    """Binary probit sweep, truncation-window parameterization."""
-    if cfg.c != 2:
-        raise ValueError("binary kernels require c = 2")
-    return kernel_step(cfg, data, state, VariantId.parse("binary-null"), rng)
-
-
-def step_binary_beta(cfg: ModelConfig, data: Dataset, state: ChainState,
-                     rng: RngStream):
-    """Binary probit sweep, latent-shift parameterization."""
-    if cfg.c != 2:
-        raise ValueError("binary kernels require c = 2")
-    return kernel_step(cfg, data, state, VariantId.parse("binary-beta"), rng)
-
-
 def transform_names(variant: VariantId, c: int, p: int) -> list[str]:
     names = []
     if variant.augmented:
@@ -433,6 +417,8 @@ def initial_state(cfg: ModelConfig, variant: VariantId, batch: int,
     instead of drawing the scales, so callers can stratify over the scale
     mixture; the rows stay independent of the scales either way.
     """
+    if variant.binary and cfg.c != 2:
+        raise ValueError("binary kernels require c = 2")
     if init == "fixed":
         if theta is None:
             raise ValueError("fixed init needs a theta")

@@ -13,7 +13,7 @@ Three estimators live here:
 * ``estimate_R``: bounded-Lipschitz distance between the chain's m-step
   empirical measure and m reference rows. As d <= 1 it is W1 under d
   (Kantorovich-Rubinstein), an exact assignment for two uniform clouds of
-  equal size; the linear program runs only for weighted or unequal sizes.
+  equal size.
 * ``one_step_statistic``: mean localized one-step motion of a transform of
   the state along a stationarity-started chain; its decay in n is what
   separates degenerate from locally consistent kernels.
@@ -27,10 +27,10 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize, sparse, spatial
+from scipy import optimize, spatial
 
-from .kernels import ChainState, ChainTrace, VariantId, initial_state, kernel_step
-from .model import Dataset, ModelConfig, NumericalFailure, Theta, sample_dataset
+from .kernels import ChainState, VariantId, initial_state, kernel_step
+from .model import ModelConfig, Theta, sample_dataset
 from .sampling import RngStream
 
 TRANSFORMS = ("theta", "g-theta", "alpha", "theta-norm", "alpha-ratio")
@@ -89,38 +89,6 @@ def table1_transform(variant: VariantId | str, c: int) -> str:
     return "g-theta" if c <= 3 else "alpha-ratio"
 
 
-@dataclasses.dataclass(frozen=True)
-class EmpiricalMeasure:
-    """Weighted point cloud; weights normalized to one."""
-
-    points: np.ndarray
-    weights: np.ndarray
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.points, dtype=float))
-        w = np.asarray(self.weights, dtype=float)
-        if pts.shape[0] != w.shape[0] or pts.shape[0] < 1:
-            raise ValueError("points and weights disagree or are empty")
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be nonnegative and sum to 1")
-        object.__setattr__(self, "points", pts)
-        object.__setattr__(self, "weights", w)
-
-    @staticmethod
-    def from_points(points) -> "EmpiricalMeasure":
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        k = pts.shape[0]
-        return EmpiricalMeasure(points=pts, weights=np.full(k, 1.0 / k))
-
-    @property
-    def size(self) -> int:
-        return self.points.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.points.shape[1]
-
-
 def ground_metric(u, v, scale: float = 1.0) -> np.ndarray:
     """d(u, v) = min(scale * |u - v|_2, 1), broadcasting over rows."""
     diff = np.asarray(u, dtype=float) - np.asarray(v, dtype=float)
@@ -131,8 +99,8 @@ def ground_metric(u, v, scale: float = 1.0) -> np.ndarray:
 
 class BLValue(float):
     """The distance as a float, carrying how it was computed: the pooled
-    support (both clouds, duplicates counted) and the solver ("assignment"
-    or "lp"). Nothing is ever resampled."""
+    support (both clouds, duplicates counted) and the solver. Nothing is
+    ever resampled."""
 
     support: int
     solver: str
@@ -145,72 +113,41 @@ class BLValue(float):
         return obj
 
 
-def bl_distance(mu: EmpiricalMeasure, nu: EmpiricalMeasure, *,
-                scale: float = 1.0) -> BLValue:
-    """Bounded-Lipschitz distance between two weighted point clouds.
+def bl_distance(u, v, *, scale: float = 1.0) -> BLValue:
+    """Bounded-Lipschitz distance between two uniform point clouds of equal
+    size (rows are points).
 
     The ground metric d = min(scale * |.|, 1) is at most 1, so a d-Lipschitz
     potential shifts into [-1, 1]: the bound |f| <= 1 is slack and the
     distance is W1 under d (Kantorovich-Rubinstein). For two uniform clouds
     of equal size W1 is an assignment problem (Birkhoff-von Neumann), solved
-    exactly by ``linear_sum_assignment`` on the k x k matrix of d. Weighted
-    or unequal-size inputs go to the dual linear program.
+    exactly by ``linear_sum_assignment`` on the k x k matrix of d.
     """
-    if mu.dim != nu.dim:
+    u = np.atleast_2d(np.asarray(u, dtype=float))
+    v = np.atleast_2d(np.asarray(v, dtype=float))
+    if u.shape[1] != v.shape[1]:
         raise ValueError("dimension mismatch")
-    support = mu.size + nu.size
-    uniform = not np.ptp(mu.weights) and not np.ptp(nu.weights)
-    if uniform and mu.size == nu.size:
-        cost = np.minimum(scale * spatial.distance.cdist(mu.points, nu.points),
-                          1.0)
-        rows, cols = optimize.linear_sum_assignment(cost)
-        return BLValue(float(cost[rows, cols].mean()), support, "assignment")
-    return BLValue(_bl_linear_program(mu, nu, scale), support, "lp")
+    if u.shape[0] != v.shape[0] or not u.size:
+        raise ValueError(f"need two nonempty clouds of equal size, got "
+                         f"{u.shape[0]} and {v.shape[0]} points")
+    cost = np.minimum(scale * spatial.distance.cdist(u, v), 1.0)
+    rows, cols = optimize.linear_sum_assignment(cost)
+    return BLValue(float(cost[rows, cols].mean()), 2 * u.shape[0],
+                   "assignment")
 
 
-def _bl_linear_program(mu: EmpiricalMeasure, nu: EmpiricalMeasure,
-                       scale: float) -> float:
-    """The dual LP: max sum_k a_k f_k over potentials f on the pooled support
-    with |f_k| <= 1 and |f_k - f_l| <= d(x_k, x_l), where a carries the
-    signed weights. It has O(k^2) rows, so it serves weighted and
-    unequal-size inputs only (and the tests, as an oracle)."""
-    pts = np.concatenate([mu.points, nu.points], axis=0)
-    a = np.concatenate([mu.weights, -nu.weights])
-    pts, inv = np.unique(pts, axis=0, return_inverse=True)
-    signed = np.zeros(pts.shape[0])
-    np.add.at(signed, inv.reshape(-1), a)
-    k = pts.shape[0]
-    if k == 1:
-        return 0.0
-
-    dist = np.minimum(scale * spatial.distance.cdist(pts, pts), 1.0)
-    ii, jj = np.triu_indices(k, 1)
-    pair = sparse.identity(k, format="csr")
-    pair = pair[ii] - pair[jj]  # one row f_i - f_j per pair i < j
-    res = optimize.linprog(
-        c=-signed, A_ub=sparse.vstack([pair, -pair]),
-        b_ub=np.tile(dist[ii, jj], 2), bounds=(-1.0, 1.0), method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10},
-    )
-    if res.status != 0:
-        raise NumericalFailure(
-            f"linear program failed: status={res.status} message={res.message!r} "
-            f"support={k} scale={scale}"
-        )
-    return max(-res.fun, 0.0)
-
-
-def central_value(mu: EmpiricalMeasure, tol: float = 1e-10) -> np.ndarray:
-    """Per-coordinate root of sum_i w_i arctan(x_i - t) = 0.
+def central_value(points, tol: float = 1e-10) -> np.ndarray:
+    """Per-coordinate root of k^{-1} sum_i arctan(x_i - t) = 0 over the rows
+    x_i of ``points``.
 
     The map is strictly decreasing in t, so the root is unique and lies in
     [min x, max x]; bisection runs until the residual drops below ``tol``.
     """
-    out = np.empty(mu.dim)
-    for d in range(mu.dim):
-        x = mu.points[:, d]
-        w = mu.weights
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    w = np.full(points.shape[0], 1.0 / points.shape[0])
+    out = np.empty(points.shape[1])
+    for d in range(points.shape[1]):
+        x = points[:, d]
         lo, hi = float(x.min()), float(x.max())
         if hi - lo == 0.0:
             out[d] = lo
@@ -230,26 +167,6 @@ def central_value(mu: EmpiricalMeasure, tol: float = 1e-10) -> np.ndarray:
                 hi = mid
         out[d] = mid
     return out
-
-
-def localize(obj, theta_hat, n: int, transform: str = "theta") -> np.ndarray:
-    """Rescale a series to sqrt(n) * (value - theta_hat).
-
-    ``obj`` may be an array of points (rows) or a ChainTrace, in which case
-    the named transform is evaluated per record first. Returns the localized
-    series as an array.
-    """
-    theta_hat = np.atleast_1d(np.asarray(theta_hat, dtype=float))
-    if isinstance(obj, ChainTrace):
-        series = np.stack(
-            [
-                apply_transform(obj.alpha[r], obj.beta[r], obj.g[r], transform)
-                for r in range(obj.records)
-            ]
-        )
-    else:
-        series = np.asarray(obj, dtype=float)
-    return math.sqrt(n) * (series - theta_hat)
 
 
 def wprime_from_series(series: np.ndarray, scale: float = 1.0) -> float:
@@ -426,12 +343,10 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
             series[t] = transform_state(state, transform)[0]
         pick = rep.child("ref-pick").generator
         ref_pts = bank[pick.permutation(bank.shape[0])[:m]]
-        mu = EmpiricalMeasure.from_points(series)
-        nu = EmpiricalMeasure.from_points(ref_pts)
-        raw.append(bl_distance(mu, nu, scale=1.0))
-        loc.append(bl_distance(mu, nu, scale=math.sqrt(n)))
+        raw.append(bl_distance(series, ref_pts, scale=1.0))
+        loc.append(bl_distance(series, ref_pts, scale=math.sqrt(n)))
         how = {"bl_solver": loc[-1].solver, "bl_support": loc[-1].support}
-        centers.append(central_value(nu))
+        centers.append(central_value(ref_pts))
     return DiagnosticsReport(
         variant=variant.name, n=n, m=m, replications=R,
         estimates={"R": _mean_se(raw), "R_localized": _mean_se(loc)},

@@ -1,4 +1,4 @@
-"""Cumulative link model: priors, data generation, likelihood, and scores.
+"""Cumulative link model: priors, data generation, likelihood, information.
 
 The observation model is ordinal regression with ordered cut-points:
 
@@ -28,10 +28,6 @@ from .sampling import RngStream
 
 _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 _FISHER_BLOCK = 4096   # Monte Carlo rows per block in fisher_information; bounds its temporaries
-
-
-class DegenerateCellError(ValueError):
-    """Raised when a cell probability vanishes where it must be positive."""
 
 
 class NumericalFailure(RuntimeError):
@@ -235,14 +231,6 @@ def cell_probabilities(cfg: ModelConfig, theta: Theta, x) -> np.ndarray:
     return np.diff(cum, axis=1)
 
 
-def cell_probability(cfg: ModelConfig, theta: Theta, x, j: int) -> float:
-    """P(y = j | x) for a single covariate row."""
-    if not 1 <= j <= cfg.c:
-        raise ValueError(f"label {j} outside 1..{cfg.c}")
-    probs = cell_probabilities(cfg, theta, np.atleast_2d(x))
-    return float(probs[0, j - 1])
-
-
 def sample_dataset(cfg: ModelConfig, theta0: Theta, n: int, seed: int) -> Dataset:
     """Generate n observations: x uniform on the unit cube, y from the model."""
     cfg.validate_theta(theta0)
@@ -276,18 +264,6 @@ def _cell_gradients(cfg: ModelConfig, theta: Theta, x):
         G[:, i, i - 2] = -dens[:, i]
     G[:, :, cfg.c - 2 :] = (dens[:, 1:] - dens[:, :-1])[:, :, None] * x[:, None, :]
     return G, P
-
-
-def normalized_score(cfg: ModelConfig, theta: Theta, data: Dataset) -> np.ndarray:
-    """Z_n = n^{-1/2} sum_i grad_theta log p(x_i, y_i | theta)."""
-    cfg.validate_theta(theta)
-    G, P = _cell_gradients(cfg, theta, data.x)
-    rows = np.arange(data.n)
-    chosen = P[rows, data.y - 1]
-    if np.any(chosen <= 1e-300):
-        raise DegenerateCellError("a cell probability vanished in the score sum")
-    total = np.sum(G[rows, data.y - 1] / chosen[:, None], axis=0)
-    return total / math.sqrt(data.n)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -391,14 +367,6 @@ def score_second_moment(link: LinkSpec, quad_tol: float = 1e-12) -> float:
     if err > 1e-8:
         raise NumericalFailure("latent score quadrature did not converge")
     return float(val)
-
-
-def project_binary(data: Dataset, i: int) -> Dataset:
-    """Collapse an ordinal dataset at cut i: labels become 1 + 1(y > i)."""
-    if not 2 <= i <= data.c - 1:
-        raise ValueError(f"cut index {i} outside 2..{data.c - 1}")
-    y = 1 + (data.y > i).astype(int)
-    return Dataset(x=data.x.copy(), y=y, c=2, true_theta=None, seed=data.seed)
 
 
 def log_prior(cfg: ModelConfig, alpha, beta) -> np.ndarray:

@@ -2,8 +2,8 @@
 
 Everything here is either a thin, reproducible wrapper around numpy's
 counter-based Philox generator or an exact sampler built on top of it:
-truncated normals (inverse CDF in the bulk, exponential rejection past 6 sd),
-gamma draws, and a grid inverse-CDF sampler kept around as a cross-check tool.
+truncated normals (inverse CDF in the bulk, exponential rejection past 6 sd,
+and an extended-precision rescue) and gamma draws.
 
 All functions take an explicit :class:`RngStream`; nothing touches global
 random state, so identical stream keys reproduce identical draws bit for bit
@@ -12,7 +12,6 @@ regardless of scheduling.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import zlib
 
@@ -29,37 +28,7 @@ class DegenerateIntervalError(ValueError):
 
 
 class SamplingError(RuntimeError):
-    """Raised when a sampler fails to converge (rejection loop, bracketing)."""
-
-
-@dataclasses.dataclass(frozen=True)
-class Interval:
-    """A nonempty real interval, possibly unbounded on either side.
-
-    The closed/open flags are metadata only: draws from continuous
-    distributions do not distinguish them, but callers use them to document
-    which side of a constraint is attained.
-    """
-
-    lo: float = -math.inf
-    hi: float = math.inf
-    closed_lo: bool = True
-    closed_hi: bool = True
-
-    def __post_init__(self):
-        if math.isnan(self.lo) or math.isnan(self.hi):
-            raise DegenerateIntervalError("interval endpoint is NaN")
-        if not self.lo < self.hi:
-            raise DegenerateIntervalError(
-                f"empty interval: lo={self.lo!r} >= hi={self.hi!r}"
-            )
-
-    @property
-    def width(self) -> float:
-        return self.hi - self.lo
-
-    def contains(self, x) -> bool:
-        return bool(np.all((np.asarray(x) >= self.lo) & (np.asarray(x) <= self.hi)))
+    """Raised when a sampler returns a draw outside its window."""
 
 
 def _path_entry(part) -> int:
@@ -243,12 +212,6 @@ def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
     return x
 
 
-def truncated_normal(mean: float, sd: float, iv: Interval, rng: RngStream) -> float:
-    """Exact draw from N(mean, sd^2) restricted to a nonempty interval."""
-    x = truncated_normal_vec(mean, sd, iv.lo, iv.hi, rng)
-    return float(x) if x.ndim == 0 else float(x.reshape(-1)[0])
-
-
 def truncated_normal_extended(mean, sd, lo, hi, rng: RngStream):
     """Slow high-precision fallback for intervals whose mass underflows.
 
@@ -302,95 +265,4 @@ def gamma_draw(shape, rate, rng: RngStream, size=None):
     if (shape <= 0).any() or (rate <= 0).any():
         raise ValueError("gamma shape and rate must be positive")
     out = rng.generator.gamma(shape, 1.0 / rate, size=size)
-    return out
-
-
-def _bracket_support(logdensity, support: Interval):
-    """Return finite [lo, hi] covering essentially all density mass."""
-    lo, hi = support.lo, support.hi
-    if math.isfinite(lo) and math.isfinite(hi):
-        return lo, hi
-
-    anchor = 0.0
-    if not (lo < anchor < hi):
-        anchor = lo + 1.0 if math.isfinite(lo) else hi - 1.0
-    peak = logdensity(anchor)
-    if not math.isfinite(peak):
-        raise SamplingError("logdensity not finite at the scan anchor")
-
-    def scan(direction, bound):
-        edge = anchor
-        step = 1.0
-        best = peak
-        for _ in range(64):
-            nxt = edge + direction * step
-            if (direction > 0 and nxt >= bound) or (direction < 0 and nxt <= bound):
-                return bound
-            val = logdensity(nxt)
-            if math.isfinite(val):
-                best = max(best, val)
-                if val < best - 45.0:
-                    return nxt
-            edge = nxt
-            step *= 2.0
-        raise SamplingError("density mass escapes support scan")
-
-    new_lo = lo if math.isfinite(lo) else scan(-1.0, lo)
-    new_hi = hi if math.isfinite(hi) else scan(+1.0, hi)
-    return new_lo, new_hi
-
-
-def grid_inverse_cdf(logdensity, support: Interval, gridsize: int, rng: RngStream,
-                     size=None, return_tv=False):
-    """Draw from a 1-D density known up to a constant, via a grid inverse CDF.
-
-    The density is approximated by its piecewise-linear interpolant on a
-    uniform grid of ``gridsize`` cells and sampled exactly from that
-    interpolant, so the total-variation error decays like gridsize**-2 for
-    smooth densities. With ``return_tv`` the draws come back with a second
-    routine's crude estimate of that TV error (based on second differences).
-
-    Infinite support endpoints are bracketed by scanning outward until the
-    log density falls 45 nats below the running maximum.
-    """
-    if gridsize < 8:
-        raise ValueError("gridsize must be at least 8")
-    lo, hi = _bracket_support(logdensity, support)
-    grid = np.linspace(lo, hi, gridsize + 1)
-    logf = np.asarray([logdensity(float(t)) for t in grid], dtype=float)
-    if not np.any(np.isfinite(logf)):
-        raise SamplingError("logdensity not finite anywhere on the grid")
-    logf = np.where(np.isfinite(logf), logf, -np.inf)
-    f = np.exp(logf - np.max(logf))
-    h = (hi - lo) / gridsize
-
-    cell_mass = 0.5 * (f[:-1] + f[1:]) * h
-    total = float(cell_mass.sum())
-    if total <= 0:
-        raise SamplingError("density mass vanished on the grid")
-    cum = np.concatenate([[0.0], np.cumsum(cell_mass)])
-
-    scalar = size is None
-    n = 1 if scalar else int(np.prod(size))
-    u = rng.generator.random(n) * total
-    k = np.clip(np.searchsorted(cum, u, side="right") - 1, 0, gridsize - 1)
-    v = u - cum[k]
-    f0 = f[k]
-    f1 = f[k + 1]
-    slope = (f1 - f0) / h
-    # Invert the quadratic CDF of the linear piece; fall back to the flat
-    # formula when the slope underflows.
-    with np.errstate(invalid="ignore", divide="ignore"):
-        disc = np.maximum(f0 * f0 + 2.0 * slope * v, 0.0)
-        t_lin = (np.sqrt(disc) - f0) / slope
-        t_flat = v / np.maximum(f0, 1e-300)
-    t = np.where(np.abs(slope) * h > 1e-12 * np.maximum(f0, f1), t_lin, t_flat)
-    t = np.clip(t, 0.0, h)
-    draws = grid[k] + t
-
-    out = float(draws[0]) if scalar else draws.reshape(size)
-    if return_tv:
-        second = np.abs(np.diff(f, 2))
-        tv = 0.125 * float(second.sum()) * h / total
-        return out, tv
     return out

@@ -28,7 +28,7 @@ class TestVerify:
         assert all(l.startswith("PASS ") for l in lines)
         names = {l.split()[1].rstrip(":") for l in lines}
         assert names == {"scale-constants", "point-mass-identity",
-                         "bl-equals-w1", "bl-assignment-equals-lp",
+                         "bl-equals-w1", "bl-assignment-exact",
                          "central-value", "scale-conditional"}
 
     def test_report_file(self, tmp_path, capsys):
@@ -230,8 +230,13 @@ class TestEntryPoint:
             assert json.loads(proc.stdout.splitlines()[-1])["n"] == 12
 
     def test_module_main_guard(self):
-        proc = subprocess.run(
-            [sys.executable, "-m", "mcmcdegen.cli", "verify"],
-            capture_output=True, text=True, env=_subprocess_env())
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.count("PASS") == 6
+        """``python -m mcmcdegen.cli verify`` passes every check, also under
+        ``-O``, where a check resting on ``assert`` would pass vacuously."""
+        for flags in ([], ["-O"]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "mcmcdegen.cli", "verify"],
+                capture_output=True, text=True, env=_subprocess_env())
+            assert proc.returncode == 0, (flags, proc.stderr)
+            lines = proc.stdout.splitlines()
+            assert len(lines) == 6, (flags, proc.stdout)
+            assert all(line.startswith("PASS ") for line in lines), flags

@@ -1,7 +1,10 @@
 """Experiment plans, threaded orchestration, and reproducible outputs."""
 
 import dataclasses
+import hashlib
 import json
+import sys
+import threading
 
 import pytest
 
@@ -47,6 +50,16 @@ class TestPlans:
         for scenario in ("fig2", "fig3"):
             with pytest.raises(ValueError, match="c >= 4"):
                 make_plan(scenario, c_list=(3,))
+
+    def test_figure_variants_are_fixed(self):
+        """A figure draws one fixed pair of kernels; any other variants are
+        refused before a single chain runs."""
+        with pytest.raises(ValueError, match="draws the variants beta"):
+            make_plan("fig2", variants=("null", "null-ma"), n_list=(60,), m=8)
+        with pytest.raises(ValueError, match="draws the variants binary"):
+            make_plan("fig1", variants=("binary-null",))
+        pair = ("binary-null", "binary-beta")
+        assert make_plan("fig1", variants=pair).variants == pair
 
     def test_config_drops_execution_details(self):
         plan = make_plan("fig1", threads=8, out_dir="/tmp/zzz")
@@ -114,6 +127,28 @@ class TestDeterminism:
         assert m1.files == m2.files
         assert _files_bytes(tmp_path / "a", m1) == _files_bytes(
             tmp_path / "b", m2)
+
+    def test_many_threads_record_every_cell(self, tmp_path):
+        """Sixteen short cells on four threads with a tiny switch interval:
+        cells record themselves from the pool threads, so a lost update
+        would drop a cell or a digest from the manifest."""
+        plan = make_plan("fig1", out_dir=str(tmp_path), threads=4, m=3,
+                         n_list=tuple(range(30, 38)))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            manifest = orchestrate(plan)
+        finally:
+            sys.setswitchinterval(interval)
+        cells = [c for k, c in manifest.cells.items() if "seconds" in c]
+        assert len(cells) == 16
+        assert set(manifest.files) == {
+            f for c in manifest.cells.values() for f in c["files"]}
+        for name, digest in manifest.files.items():
+            assert hashlib.sha256(
+                (tmp_path / name).read_bytes()).hexdigest() == digest
+        assert RunManifest.load(tmp_path / "manifest.json").files == (
+            manifest.files)
 
 
 class TestResume:
@@ -184,6 +219,48 @@ class TestResume:
         assert {row.split(",")[2] for row in rows[1:]} == {"60", "80"}
         assert set(manifest.files) == {
             f for cell in manifest.cells.values() for f in cell["files"]}
+
+    def test_interrupt_keeps_cells_finished_out_of_order(self, tmp_path,
+                                                         monkeypatch):
+        """On two threads the first cell is interrupted once the third has
+        started: every cell file on disk is in the manifest with its
+        sha256, the cells still queued never start, and a resume recomputes
+        exactly the cells that left no files. Which running cells finish
+        depends on timing, so the property is checked, not a list."""
+        import mcmcdegen.harness as harness_mod
+
+        real = one_step_statistic
+        third_started = threading.Event()
+        calls = []
+
+        def interrupted(variant, cfg, n, R, transform, seed, **kw):
+            if n == 60:
+                assert third_started.wait(timeout=60)
+                raise KeyboardInterrupt
+            if n == 100:
+                third_started.set()
+            return real(variant, cfg, n, R, transform, seed, **kw)
+
+        def counting(variant, cfg, n, R, transform, seed, **kw):
+            calls.append(n)
+            return real(variant, cfg, n, R, transform, seed, **kw)
+
+        plan = make_plan("diagnose", out_dir=str(tmp_path), threads=2,
+                         **dict(_SMALL_DIAG, n_list=(60, 80, 100, 120, 140)))
+        monkeypatch.setattr(harness_mod, "one_step_statistic", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            orchestrate(plan)
+        recorded = json.loads((tmp_path / "manifest.json").read_text())
+        on_disk = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
+                   for f in tmp_path.glob("diagnose_*.json")}
+        assert on_disk == recorded["files"]
+        missing = [n for n in plan.n_list if not any(
+            f"_n{n}_" in name for name in on_disk)]
+        assert 60 in missing and 140 in missing
+
+        monkeypatch.setattr(harness_mod, "one_step_statistic", counting)
+        orchestrate(plan)
+        assert sorted(calls) == missing
 
     def test_changed_config_recomputes(self, tmp_path):
         orchestrate(make_plan("fig1", out_dir=str(tmp_path), n_list=(40,),

@@ -18,8 +18,6 @@ from mcmcdegen.kernels import (
     kernel_step,
     load_trace,
     run_chain,
-    step_binary_beta,
-    step_binary_null,
     trace_filename,
     transform_names,
     update_g,
@@ -138,7 +136,8 @@ class TestBinaryAliases:
         for t in range(25):
             kernel_step(cfg, data, s1, VariantId.parse("null"),
                         RngStream(9, "steps", t))
-            step_binary_null(cfg, data, s2, RngStream(9, "steps", t))
+            kernel_step(cfg, data, s2, VariantId.parse("binary-null"),
+                        RngStream(9, "steps", t))
         assert np.array_equal(s1.beta, s2.beta)
         assert np.array_equal(s1.z, s2.z)
 
@@ -153,17 +152,17 @@ class TestBinaryAliases:
         for t in range(25):
             kernel_step(cfg, data, s1, VariantId.parse("beta"),
                         RngStream(10, "steps", t))
-            step_binary_beta(cfg, data, s2, RngStream(10, "steps", t))
+            kernel_step(cfg, data, s2, VariantId.parse("binary-beta"),
+                        RngStream(10, "steps", t))
         assert np.array_equal(s1.beta, s2.beta)
 
     def test_binary_aliases_reject_ordinal(self):
         cfg = ModelConfig(c=3)
         theta = Theta(alpha=(1.0,), beta=(-1.0,))
-        data = sample_dataset(cfg, theta, 30, seed=1)
-        state = initial_state(cfg, VariantId.parse("null"), 1, RngStream(0),
+        for name in ("binary-null", "binary-beta"):
+            with pytest.raises(ValueError, match="c = 2"):
+                initial_state(cfg, VariantId.parse(name), 1, RngStream(0),
                               init="fixed", theta=theta)
-        with pytest.raises(ValueError):
-            step_binary_null(cfg, data, state, RngStream(1))
 
 
 class TestInitialState:

@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize, sparse, spatial
 from scipy.integrate import quad
 from scipy.stats import norm, wasserstein_distance
 
-from mcmcdegen.kernels import VariantId, run_chain
 from mcmcdegen.metrics import (
     DiagnosticsReport,
-    EmpiricalMeasure,
     apply_transform,
     bl_distance,
     central_value,
@@ -19,16 +18,41 @@ from mcmcdegen.metrics import (
     estimate_Rprime,
     ground_metric,
     lag1_autocorr,
-    localize,
     one_step_pairs,
     one_step_statistic,
     table1_transform,
     wprime_from_series,
-    _bl_linear_program,
     _cluster_se,
 )
-from mcmcdegen.model import ModelConfig, Theta, sample_dataset
-from mcmcdegen.sampling import RngStream
+from mcmcdegen.model import ModelConfig, Theta
+
+
+def _bl_linear_program(u, v, scale):
+    """The dual LP: max sum_k a_k f_k over potentials f on the pooled support
+    with |f_k| <= 1 and |f_k - f_l| <= d(x_k, x_l), where a carries the
+    signed uniform weights of the two clouds. It has O(k^2) rows, so it
+    serves only as the oracle for the assignment solver."""
+    pts = np.concatenate([u, v], axis=0)
+    a = np.concatenate([np.full(len(u), 1.0 / len(u)),
+                        np.full(len(v), -1.0 / len(v))])
+    pts, inv = np.unique(pts, axis=0, return_inverse=True)
+    signed = np.zeros(pts.shape[0])
+    np.add.at(signed, inv.reshape(-1), a)
+    k = pts.shape[0]
+    if k == 1:
+        return 0.0
+    dist = np.minimum(scale * spatial.distance.cdist(pts, pts), 1.0)
+    ii, jj = np.triu_indices(k, 1)
+    pair = sparse.identity(k, format="csr")
+    pair = pair[ii] - pair[jj]  # one row f_i - f_j per pair i < j
+    res = optimize.linprog(
+        c=-signed, A_ub=sparse.vstack([pair, -pair]),
+        b_ub=np.tile(dist[ii, jj], 2), bounds=(-1.0, 1.0), method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return max(-res.fun, 0.0)
 
 
 class TestTransforms:
@@ -82,79 +106,65 @@ class TestGroundMetric:
 
 class TestBLDistance:
     def test_point_mass_identity(self):
-        """Against a point mass the distance is the mean ground metric."""
+        """Against k copies of one point the distance is the mean ground
+        metric."""
         gen = np.random.default_rng(5)
         for _ in range(100):
             dim = int(gen.integers(1, 4))
             k = int(gen.integers(2, 12))
             x = gen.normal(size=dim)
             pts = gen.normal(size=(k, dim))
-            w = gen.random(k)
-            w /= w.sum()
-            nu = EmpiricalMeasure(points=pts, weights=w)
-            mu = EmpiricalMeasure.from_points(x[None, :])
-            want = float(np.sum(w * ground_metric(pts, x[None, :])))
-            assert abs(float(bl_distance(mu, nu)) - want) < 1e-9
+            want = float(np.mean(ground_metric(pts, x[None, :])))
+            got = bl_distance(np.tile(x, (k, 1)), pts)
+            assert abs(float(got) - want) < 1e-9
 
     def test_matches_wasserstein_small_diameter(self):
         """With every pairwise gap under the cap, the value is plain W1."""
         gen = np.random.default_rng(6)
         for _ in range(20):
-            k1, k2 = int(gen.integers(2, 9)), int(gen.integers(2, 9))
-            u = gen.random(k1) * 0.9
-            v = gen.random(k2) * 0.9
-            wu = gen.random(k1)
-            wu /= wu.sum()
-            wv = gen.random(k2)
-            wv /= wv.sum()
-            got = bl_distance(EmpiricalMeasure(u[:, None], wu),
-                              EmpiricalMeasure(v[:, None], wv))
-            want = wasserstein_distance(u, v, wu, wv)
-            assert abs(float(got) - want) < 1e-9
+            k = int(gen.integers(2, 9))
+            u = gen.random(k) * 0.9
+            v = gen.random(k) * 0.9
+            got = bl_distance(u[:, None], v[:, None])
+            assert abs(float(got) - wasserstein_distance(u, v)) < 1e-9
 
     def test_dirac_pair(self):
-        a = EmpiricalMeasure.from_points([[0.0, 0.0]])
-        b = EmpiricalMeasure.from_points([[0.3, 0.4]])
-        far = EmpiricalMeasure.from_points([[40.0, 0.0]])
-        assert abs(float(bl_distance(a, b)) - 0.5) < 1e-12
-        assert abs(float(bl_distance(a, far)) - 1.0) < 1e-12
+        a = [[0.0, 0.0]]
+        assert abs(float(bl_distance(a, [[0.3, 0.4]])) - 0.5) < 1e-12
+        assert abs(float(bl_distance(a, [[40.0, 0.0]])) - 1.0) < 1e-12
 
     def test_identical_and_symmetry(self):
         gen = np.random.default_rng(7)
-        mu = EmpiricalMeasure.from_points(gen.normal(size=(6, 2)))
-        nu = EmpiricalMeasure.from_points(gen.normal(size=(5, 2)))
-        assert float(bl_distance(mu, mu)) < 1e-10
-        assert abs(float(bl_distance(mu, nu)) - float(bl_distance(nu, mu))) < 1e-9
+        a = gen.normal(size=(6, 2))
+        b = gen.normal(size=(6, 2))
+        assert float(bl_distance(a, a)) < 1e-10
+        assert abs(float(bl_distance(a, b)) - float(bl_distance(b, a))) < 1e-9
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            bl_distance(EmpiricalMeasure.from_points([[0.0]]),
-                        EmpiricalMeasure.from_points([[0.0, 1.0]]))
+        with pytest.raises(ValueError, match="dimension"):
+            bl_distance([[0.0]], [[0.0, 1.0]])
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=25, deadline=None)
     def test_never_exceeds_one(self, seed):
         gen = np.random.default_rng(seed)
-        mu = EmpiricalMeasure.from_points(gen.normal(scale=5, size=(4, 2)))
-        nu = EmpiricalMeasure.from_points(gen.normal(scale=5, size=(4, 2)))
-        v = float(bl_distance(mu, nu))
+        v = float(bl_distance(gen.normal(scale=5, size=(4, 2)),
+                              gen.normal(scale=5, size=(4, 2))))
         assert -1e-12 <= v <= 1.0 + 1e-9
 
     def test_solver_follows_the_input(self):
+        """Two equal-size clouds go to the assignment solver; unequal sizes
+        and empty clouds are refused."""
         gen = np.random.default_rng(10)
         a = gen.normal(size=(5, 2))
         b = gen.normal(size=(5, 2))
-        uniform = bl_distance(EmpiricalMeasure.from_points(a),
-                              EmpiricalMeasure.from_points(b))
+        uniform = bl_distance(a, b)
         assert uniform.solver == "assignment" and uniform.support == 10
         assert uniform.resampled is False
-        unequal = bl_distance(EmpiricalMeasure.from_points(a),
-                              EmpiricalMeasure.from_points(b[:4]))
-        assert unequal.solver == "lp" and unequal.support == 9
-        w = np.arange(1.0, 6.0)
-        weighted = bl_distance(EmpiricalMeasure(a, w / w.sum()),
-                               EmpiricalMeasure.from_points(b))
-        assert weighted.solver == "lp"
+        with pytest.raises(ValueError, match="equal size"):
+            bl_distance(a, b[:4])
+        with pytest.raises(ValueError, match="nonempty"):
+            bl_distance(np.empty((0, 2)), np.empty((0, 2)))
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 60), st.integers(1, 3),
            st.floats(0.2, 30.0), st.sampled_from(["fresh", "duplicated",
@@ -172,11 +182,9 @@ class TestBLDistance:
             b[0] = a[0]
         elif kind == "identical":
             b = a[gen.permutation(k)]
-        mu = EmpiricalMeasure.from_points(a)
-        nu = EmpiricalMeasure.from_points(b)
-        got = bl_distance(mu, nu, scale=scale)
+        got = bl_distance(a, b, scale=scale)
         assert got.solver == "assignment"
-        assert abs(float(got) - _bl_linear_program(mu, nu, scale)) <= 1e-12
+        assert abs(float(got) - _bl_linear_program(a, b, scale)) <= 1e-12
         if kind == "identical":
             assert float(got) == 0.0
 
@@ -186,71 +194,47 @@ class TestBLDistance:
         gen = np.random.default_rng(8)
         a = gen.normal(size=(300, 1))
         b = gen.normal(loc=0.4, size=(300, 1))
-        mu = EmpiricalMeasure.from_points(a)
-        nu = EmpiricalMeasure.from_points(b)
-        v1 = bl_distance(mu, nu)
-        v2 = bl_distance(mu, nu)
+        v1 = bl_distance(a, b)
+        v2 = bl_distance(a, b)
         assert v1.solver == "assignment" and v1.support == 600
         assert not v1.resampled
         assert float(v1) == float(v2)
         # at scale 0.1 no pairwise gap reaches the cap: plain 1-D W1
         assert np.ptp(np.concatenate([a, b])) < 10.0
-        assert abs(float(bl_distance(mu, nu, scale=0.1))
+        assert abs(float(bl_distance(a, b, scale=0.1))
                    - 0.1 * wasserstein_distance(a[:, 0], b[:, 0])) < 1e-12
-        half_mu = EmpiricalMeasure.from_points(a[:150])
-        half_nu = EmpiricalMeasure.from_points(b[:150])
-        assert abs(float(bl_distance(half_mu, half_nu))
-                   - _bl_linear_program(half_mu, half_nu, 1.0)) <= 1e-12
+        assert abs(float(bl_distance(a[:150], b[:150]))
+                   - _bl_linear_program(a[:150], b[:150], 1.0)) <= 1e-12
 
 
 class TestCentralValue:
     def test_residual_and_equivariance(self):
         gen = np.random.default_rng(11)
         pts = gen.normal(size=(40, 3)) * [1.0, 0.2, 5.0]
-        mu = EmpiricalMeasure.from_points(pts)
-        t = central_value(mu)
+        t = central_value(pts)
         for d in range(3):
             resid = np.mean(np.arctan(pts[:, d] - t[d]))
             assert abs(resid) < 1e-10
         shift = np.array([2.0, -1.0, 0.25])
-        t2 = central_value(EmpiricalMeasure.from_points(pts + shift))
+        t2 = central_value(pts + shift)
         assert np.max(np.abs(t2 - (t + shift))) < 1e-9
 
     def test_permutation_and_weights(self):
         gen = np.random.default_rng(12)
         pts = gen.normal(size=(15, 1))
-        mu = central_value(EmpiricalMeasure.from_points(pts))
-        nu = central_value(EmpiricalMeasure.from_points(pts[::-1]))
-        assert np.allclose(mu, nu, atol=1e-9)
-        # doubling a point's weight = listing it twice
+        assert np.allclose(central_value(pts), central_value(pts[::-1]),
+                           atol=1e-9)
+        # listing a point twice doubles its weight in the root equation
         w = np.full(15, 1.0)
         w[3] = 2.0
         w /= w.sum()
-        weighted = central_value(EmpiricalMeasure(pts, w))
-        doubled = central_value(
-            EmpiricalMeasure.from_points(np.vstack([pts, pts[3:4]])))
-        assert np.allclose(weighted, doubled, atol=1e-8)
+        doubled = central_value(np.vstack([pts, pts[3:4]]))
+        assert abs(np.sum(w * np.arctan(pts[:, 0] - doubled[0]))) < 1e-10
 
     def test_single_point(self):
-        mu = EmpiricalMeasure.from_points([[1.25, -3.0]])
-        assert np.array_equal(central_value(mu), [1.25, -3.0])
-
-
-class TestLocalize:
-    def test_array_input(self):
-        series = np.array([[1.0, 2.0], [1.1, 1.9]])
-        got = localize(series, [1.0, 2.0], 100)
-        assert np.allclose(got, [[0.0, 0.0], [1.0, -1.0]])
-
-    def test_trace_input_applies_transform(self):
-        cfg = ModelConfig(c=3)
-        theta = Theta(alpha=(1.0,), beta=(-1.0,))
-        data = sample_dataset(cfg, theta, 40, seed=1)
-        trace = run_chain(cfg, data, "null-ma", 5, RngStream(2),
-                          init="fixed", theta=theta)
-        got = localize(trace, np.zeros(2), 40, transform="g-theta")
-        want = np.sqrt(40) * trace.identified()
-        assert np.allclose(got, want)
+        assert np.array_equal(central_value([[1.25, -3.0]]), [1.25, -3.0])
+        # a flat array is one point, not a column
+        assert np.array_equal(central_value([1.25, -3.0]), [1.25, -3.0])
 
 
 class TestWprime:

@@ -12,23 +12,37 @@ from mcmcdegen.model import (
     CovariateSpec,
     ModelConfig,
     Theta,
+    _cell_gradients,
     cell_probabilities,
-    cell_probability,
     cumulative_probs,
     fisher_information,
     load_dataset,
     log_likelihood_batch,
     log_prior,
-    normalized_score,
     prior_theta_draws,
     probit_link,
-    project_binary,
     sample_dataset,
     save_dataset,
     scale_constants,
     score_second_moment,
 )
 from mcmcdegen.sampling import RngStream
+
+
+def cell_probability(cfg, theta, x, j):
+    """P(y = j | x) for a single covariate row."""
+    return float(cell_probabilities(cfg, theta, np.atleast_2d(x))[0, j - 1])
+
+
+def normalized_score(cfg, theta, data):
+    """Z_n = n^{-1/2} sum_i grad_theta log p(y_i | x_i, theta), summing the
+    cell gradients G / P over the observed cells."""
+    G, P = _cell_gradients(cfg, theta, data.x)
+    rows = np.arange(data.n)
+    chosen = P[rows, data.y - 1]
+    assert np.all(chosen > 1e-300)
+    total = np.sum(G[rows, data.y - 1] / chosen[:, None], axis=0)
+    return total / np.sqrt(data.n)
 
 
 class TestLinkConstants:
@@ -240,15 +254,6 @@ class TestDatasets:
             observed = np.mean(data.y == j)
             se = np.sqrt(expected * (1 - expected) / n)
             assert abs(observed - expected) < 5 * se
-
-    def test_project_binary(self):
-        cfg = ModelConfig(c=4)
-        th = Theta(alpha=(0.7, 1.4), beta=(-1.0,))
-        data = sample_dataset(cfg, th, 100, seed=9)
-        flat = project_binary(data, 2)
-        assert flat.c == 2
-        assert np.array_equal(flat.y, 1 + (data.y > 2))
-        assert np.array_equal(flat.x, data.x)
 
     def test_roundtrip(self, tmp_path):
         cfg = ModelConfig(c=3)

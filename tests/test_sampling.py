@@ -9,12 +9,9 @@ from scipy.stats import kstest, norm
 from mcmcdegen import sampling
 from mcmcdegen.sampling import (
     DegenerateIntervalError,
-    Interval,
     RngStream,
     SamplingError,
     gamma_draw,
-    grid_inverse_cdf,
-    truncated_normal,
     truncated_normal_extended,
     truncated_normal_vec,
 )
@@ -115,14 +112,10 @@ class TestTruncatedNormal:
         assert np.isfinite(draws).all()
 
     def test_scalar_interval_and_empty(self):
-        iv = Interval(lo=0.5, hi=1.5)
-        val = truncated_normal(0.0, 1.0, iv, RngStream(4))
-        assert 0.5 <= val <= 1.5
+        val = truncated_normal_vec(0.0, 1.0, 0.5, 1.5, RngStream(4))
+        assert val.shape == () and 0.5 <= val <= 1.5
         with pytest.raises(DegenerateIntervalError):
-            truncated_normal(0.0, 1.0, Interval(lo=2.0, hi=2.0,
-                                                closed_lo=False,
-                                                closed_hi=False),
-                             RngStream(5))
+            truncated_normal_vec(0.0, 1.0, 2.0, 2.0, RngStream(5))
 
     def test_extended_precision_rescue(self):
         val = truncated_normal_extended(0.0, 1.0, 38.0, 39.0, RngStream(6))
@@ -203,36 +196,3 @@ class TestGammaDraw:
     def test_rate_parameterization(self):
         draws = gamma_draw(3.0, 2.0, RngStream(11), size=200_000)
         assert abs(draws.mean() - 1.5) < 0.02
-
-
-class TestGridInverseCdf:
-    def test_matches_normal_density(self):
-        loc, scale = 2.0, 0.5
-
-        def logdensity(t):
-            return -0.5 * ((t - loc) / scale) ** 2
-
-        draws = grid_inverse_cdf(logdensity,
-                                 Interval(loc - 8 * scale, loc + 8 * scale),
-                                 4096, RngStream(12), size=8000)
-        assert kstest(draws, norm(loc=loc, scale=scale).cdf).pvalue > 1e-3
-
-    def test_matches_gamma_sampler(self):
-        from scipy.stats import gamma as gamma_dist
-
-        shape, rate = 5.0, 3.0
-
-        def logdensity(t):
-            return (shape - 1) * np.log(t) - rate * t
-
-        a = grid_inverse_cdf(logdensity, Interval(1e-9, 20.0), 8192,
-                             RngStream(13), size=8000)
-        assert kstest(a, gamma_dist(a=shape, scale=1 / rate).cdf).pvalue > 1e-3
-
-    def test_total_variation_estimate_small(self):
-        def logdensity(t):
-            return -0.5 * t**2
-
-        _, tv = grid_inverse_cdf(logdensity, Interval(-8, 8), 4096,
-                                 RngStream(14), size=10, return_tv=True)
-        assert tv < 1e-4
