@@ -1,0 +1,45 @@
+"""The benchmark's tracer still reaches every per-layer metric it reports.
+
+``bench/tracer.py`` wraps the public functions of the package by name and
+raises when a metric names a function that is no longer there; this test
+runs it on a tiny diagnose plan, so a renamed or deleted function shows up
+here rather than in a benchmark run.
+"""
+
+import importlib.util
+import json
+from pathlib import Path
+
+from mcmcdegen import harness
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _tracer_module():
+    spec = importlib.util.spec_from_file_location(
+        "bench_tracer", ROOT / "bench" / "tracer.py")
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def test_tracer_covers_every_per_layer_metric(tmp_path):
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    # The worker computes the overhead from its untraced and traced runs.
+    wanted = {m["name"] for m in spec["per_layer"]} - {"trace.overhead_frac"}
+    orchestrate = harness.orchestrate
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        harness.orchestrate(harness.make_plan(
+            "diagnose", out_dir=str(tmp_path), n_list=(60,), m=5, R=2,
+            options={"inner": 4, "starts": 2, "bank_size": 128,
+                     "pool": 1024, "with_risk": True,
+                     "reference_size": 128}))
+    finally:
+        tracer.uninstall()
+    assert harness.orchestrate is orchestrate
+    metrics = tracer.layer_metrics(1)
+    assert wanted <= set(metrics), sorted(wanted - set(metrics))
+    assert metrics["metrics.bl_distance.calls"] > 0
+    assert metrics["kernels.kernel_step.calls"] > 0
