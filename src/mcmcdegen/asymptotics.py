@@ -63,9 +63,6 @@ class ReferencePosterior:
     def dim(self) -> int:
         return self.sample.shape[1]
 
-    def marginal_sd(self) -> np.ndarray:
-        return np.sqrt(np.diag(self.bvm_cov))
-
     def save(self, path) -> None:
         """CSV of the sample plus a JSON sidecar with the summaries."""
         path = Path(path)
@@ -297,48 +294,9 @@ def sir_reference(cfg: ModelConfig, data: Dataset, size: int, seed: int,
     )
 
 
-@dataclasses.dataclass(frozen=True)
-class FisherBlocks:
-    """Observed-model information partitioned by the moving block, plus K_M."""
-
-    I: np.ndarray
-    m_mask: np.ndarray
-    K_M: np.ndarray
-    findings: tuple = ()
-
-    def __post_init__(self):
-        I = np.atleast_2d(np.asarray(self.I, dtype=float))
-        K = np.atleast_2d(np.asarray(self.K_M, dtype=float))
-        if not np.allclose(I, I.T, atol=1e-10) or not np.allclose(K, K.T, atol=1e-10):
-            raise ValueError("information matrices must be symmetric")
-        object.__setattr__(self, "I", I)
-        object.__setattr__(self, "K_M", K)
-        object.__setattr__(self, "m_mask", np.asarray(self.m_mask, dtype=bool))
-
-    @property
-    def I_M(self) -> np.ndarray:
-        return self.I[np.ix_(self.m_mask, self.m_mask)]
-
-    @property
-    def I_MF(self) -> np.ndarray:
-        return self.I[np.ix_(self.m_mask, ~self.m_mask)]
-
-    @property
-    def J_M(self) -> np.ndarray:
-        return self.K_M - self.I_M
-
-    def check_psd(self, tol: float = 1e-6) -> list:
-        """Information-inequality check; violations are reported, not hidden."""
-        out = list(self.findings)
-        eigs = np.linalg.eigvalsh(self.J_M)
-        if eigs.min() < -tol:
-            out.append(f"J_M not PSD: min eigenvalue {eigs.min():.3e}")
-        return out
-
-
 def km_matrix_effective(variant: VariantId | str, g: float, J0: float, K: float,
                         L: float, Sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """K_M with the slope block carrying J0 = E (f'/f)^2 instead of K.
+    """K_M with the slope block carrying J0 = E (phi'/phi)^2 instead of K.
 
     Differentiating the complete-data log density in beta gives a score
     -g w x with w standard under the model, whose second moment is
@@ -367,7 +325,7 @@ def km_matrix_effective(variant: VariantId | str, g: float, J0: float, K: float,
 
 
 def fisher_blocks(variant: VariantId | str, cfg: ModelConfig, theta: Theta,
-                  data: Dataset | None = None, g: float = 1.0) -> FisherBlocks:
+                  data: Dataset | None = None):
     """Assemble I and K_M for a beta-type kernel's moving block.
 
     For the unaugmented beta kernels the moving block is the slope vector
@@ -375,6 +333,8 @@ def fisher_blocks(variant: VariantId | str, cfg: ModelConfig, theta: Theta,
     fisher_information and K_M from the effective closed form, using the
     dataset's empirical covariate moments when data is given (these are the
     moments the kernel actually sees) and the population moments otherwise.
+    Returns (I, m_mask, K_M, findings): the full information matrix, the
+    boolean mask of the moving block, K_M, and a list of notes on sources.
     """
     if isinstance(variant, str):
         variant = VariantId.parse(variant)
@@ -391,52 +351,45 @@ def fisher_blocks(variant: VariantId | str, cfg: ModelConfig, theta: Theta,
     else:
         mu, Sigma = cfg.covariates.moments()
         source = "population"
-    K, L = scale_constants(cfg.link)
-    J0 = score_second_moment(cfg.link)
-    K_M = km_matrix_effective(variant, g, J0, K, L, Sigma, mu)
-    findings = (f"K_M slope block uses J0-form with {source} moments",)
-    return FisherBlocks(I=fi.matrix, m_mask=m_mask, K_M=K_M, findings=findings)
-
-
-@dataclasses.dataclass(frozen=True)
-class KernelApprox:
-    mean: np.ndarray
-    cov: np.ndarray
-    blocks: FisherBlocks
-    findings: tuple
+    K, L = scale_constants()
+    K_M = km_matrix_effective(variant, 1.0, score_second_moment(), K, L,
+                              Sigma, mu)
+    findings = [f"K_M slope block uses J0-form with {source} moments"]
+    return fi.matrix, m_mask, K_M, findings
 
 
 def kernel_normal_approx(variant: VariantId | str, cfg: ModelConfig,
                          data: Dataset, reference: ReferencePosterior,
-                         theta: Theta) -> KernelApprox:
+                         theta: Theta):
     """Normal approximation to one step of a beta-type kernel's moving block.
 
     Mean theta_hat_M + K_M^{-1} J_M (theta_M - theta_hat_M)
               + K_M^{-1} I_{ M,F } (theta_F - theta_hat_F),
-    covariance n^{-1} K_M^{-1} + n^{-1} K_M^{-1} J_M K_M^{-1}, with hat
-    quantities at the reference central value: closed-form K_M, integrated
-    information I. The mixed sources are recorded in the findings.
+    covariance n^{-1} K_M^{-1} + n^{-1} K_M^{-1} J_M K_M^{-1}, with
+    J_M = K_M - I_M and hat quantities at the reference central value:
+    closed-form K_M, integrated information I. Returns (mean, cov,
+    findings); the findings record the mixed sources and, if the
+    information inequality fails, J_M's negative eigenvalue.
     """
     if isinstance(variant, str):
         variant = VariantId.parse(variant)
     that = Theta.from_vector(reference.theta_hat, cfg.c, cfg.p)
-    blocks = fisher_blocks(variant, cfg, that, data=data)
-    K_M = blocks.K_M
+    I, m, K_M, findings = fisher_blocks(variant, cfg, that, data=data)
     try:
         K_inv = np.linalg.inv(K_M)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"singular K_M: {K_M}") from exc
-    J_M = blocks.J_M
-    findings = blocks.check_psd()
+    J_M = K_M - I[np.ix_(m, m)]
+    eigs = np.linalg.eigvalsh(J_M)
+    if eigs.min() < -1e-6:
+        findings.append(f"J_M not PSD: min eigenvalue {eigs.min():.3e}")
 
-    m = blocks.m_mask
     vec = theta.as_vector()
     hat = reference.theta_hat
     mean = hat[m] + K_inv @ J_M @ (vec[m] - hat[m])
     if (~m).any():
-        mean = mean + K_inv @ blocks.I_MF @ (vec[~m] - hat[~m])
+        mean = mean + K_inv @ I[np.ix_(m, ~m)] @ (vec[~m] - hat[~m])
     n = data.n
     cov = K_inv / n + K_inv @ J_M @ K_inv / n
     cov = 0.5 * (cov + cov.T)
-    return KernelApprox(mean=mean, cov=cov, blocks=blocks,
-                        findings=tuple(findings))
+    return mean, cov, findings

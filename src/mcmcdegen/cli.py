@@ -132,8 +132,7 @@ def cmd_run_chain(args) -> int:
     start = _start_theta(opts, c, p) or theta0
     trace = run_chain(mc, data, variant, m, root.child("chain"),
                       init=init, theta=start, reference=reference,
-                      record_every=int(opts.get("record_every", 1)),
-                      scans=int(opts.get("scans", 1)))
+                      record_every=int(opts.get("record_every", 1)))
     out_dir.mkdir(parents=True, exist_ok=True)
     path = out_dir / trace_filename(variant, n, 0)
     trace.save(path, rep=0)
@@ -232,7 +231,7 @@ def run_verify(out=None) -> list[tuple[str, bool, str]]:
     checks: list[tuple[str, bool, str]] = []
     rng = np.random.default_rng(20_240_825)
 
-    K, L = model.scale_constants(model.probit_link())
+    K, L = model.scale_constants()
     ok = abs(K - 2.0) < 1e-8 and abs(L) < 1e-8
     checks.append(("scale-constants", ok, f"K={K:.12f} L={L:.3e}"))
 

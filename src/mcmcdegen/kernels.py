@@ -85,22 +85,6 @@ class ChainState:
     def batch(self) -> int:
         return self.g.shape[0]
 
-    def theta_matrix(self) -> np.ndarray:
-        """Raw parameter rows (alpha then beta), shape (B, c-2+p)."""
-        return np.concatenate([self.alpha, self.beta], axis=1)
-
-    def identified_matrix(self) -> np.ndarray:
-        """Identified parameter g * theta, shape (B, c-2+p)."""
-        return self.g[:, None] * self.theta_matrix()
-
-    def copy(self) -> "ChainState":
-        return ChainState(
-            alpha=self.alpha.copy(),
-            beta=self.beta.copy(),
-            g=self.g.copy(),
-            z=None if self.z is None else self.z.copy(),
-        )
-
     def check_cone(self):
         a = self.alpha
         if a.shape[1] and ((a <= 0).any() or (a[:, 1:] <= a[:, :-1]).any()):
@@ -153,17 +137,24 @@ def draw_latent(cfg: ModelConfig, data: Dataset, state: ChainState,
         mean = np.zeros_like(lo)
     else:
         mean = -bx
-    sd = (1.0 / state.g)[:, None]
-    try:
-        z = truncated_normal_vec(mean, sd, lo, hi, rng)
-    except DegenerateIntervalError:
-        z = _draw_latent_careful(mean, sd, lo, hi, rng)
+    z = _draw_window(mean, (1.0 / state.g)[:, None], lo, hi, rng)
     state.z = z
     return z
 
 
-def _draw_latent_careful(mean, sd, lo, hi, rng: RngStream) -> np.ndarray:
-    """Elementwise fallback when a bulk latent window underflows double mass."""
+def _draw_window(mean, sd, lo, hi, rng: RngStream) -> np.ndarray:
+    """``truncated_normal_vec``, falling back to ``_draw_careful`` when a
+    window carries no double mass: a latent window far in the tail, or a
+    shut window that ``_ensure_open`` opened by one ulp in the bulk."""
+    try:
+        return truncated_normal_vec(mean, sd, lo, hi, rng)
+    except DegenerateIntervalError:
+        return _draw_careful(mean, sd, lo, hi, rng)
+
+
+def _draw_careful(mean, sd, lo, hi, rng: RngStream) -> np.ndarray:
+    """Elementwise draws; a window whose double mass underflows goes to
+    ``truncated_normal_extended``."""
     mean, sd, lo, hi = np.broadcast_arrays(mean, sd, lo, hi)
     out = np.empty(mean.shape)
     flat = [a.reshape(-1) for a in (mean, sd, lo, hi)]
@@ -202,7 +193,7 @@ def _scan_alpha(cfg: ModelConfig, data: Dataset, state: ChainState,
         if col < last:
             hi = np.minimum(hi, state.alpha[:, col + 1])
         lo, hi = _ensure_open(lo, hi)
-        state.alpha[:, col] = truncated_normal_vec(0.0, sd, lo, hi, rng)
+        state.alpha[:, col] = _draw_window(0.0, sd, lo, hi, rng)
 
 
 def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
@@ -225,7 +216,7 @@ def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
         lo = ((z - au - rest) / xk[None, :]).max(axis=1)
         hi = ((z - al - rest) / xk[None, :]).min(axis=1)
         lo, hi = _ensure_open(lo, hi)
-        new = truncated_normal_vec(0.0, sd, lo, hi, rng)
+        new = _draw_window(0.0, sd, lo, hi, rng)
         bx = rest + new[:, None] * xk[None, :]
         state.beta[:, k] = new
 
@@ -255,13 +246,10 @@ def _draw_beta_gaussian(cfg: ModelConfig, data: Dataset, state: ChainState,
 
 
 def update_theta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
-                      rng: RngStream, scans: int = 1):
-    if scans < 1:
-        raise ValueError("need at least one scan")
-    for _ in range(scans):
-        bx = state.beta @ data.x.T
-        _scan_alpha(cfg, data, state, state.z - bx, rng)
-        _scan_beta_null(cfg, data, state, rng)
+                      rng: RngStream):
+    bx = state.beta @ data.x.T
+    _scan_alpha(cfg, data, state, state.z - bx, rng)
+    _scan_beta_null(cfg, data, state, rng)
     state.check_cone()
     return state
 
@@ -301,12 +289,12 @@ def update_g(cfg: ModelConfig, data: Dataset, state: ChainState,
 
 
 def kernel_step(cfg: ModelConfig, data: Dataset, state: ChainState,
-                variant: VariantId, rng: RngStream, scans: int = 1):
+                variant: VariantId, rng: RngStream):
     """One full Gibbs sweep: latents, then scale (if augmented), then theta."""
     draw_latent(cfg, data, state, variant, rng)
     update_g(cfg, data, state, variant, rng)
     if variant.parameterization == "null":
-        update_theta_null(cfg, data, state, rng, scans=scans)
+        update_theta_null(cfg, data, state, rng)
     else:
         update_theta_beta(cfg, data, state, rng)
     return state
@@ -348,18 +336,11 @@ class ChainTrace:
     g: np.ndarray
 
     @property
-    def records(self) -> int:
-        return self.steps.size
-
-    @property
     def batch(self) -> int:
         return self.g.shape[1]
 
     def theta(self) -> np.ndarray:
         return np.concatenate([self.alpha, self.beta], axis=-1)
-
-    def identified(self) -> np.ndarray:
-        return self.g[..., None] * self.theta()
 
     def header(self) -> list[str]:
         cols = (
@@ -461,7 +442,7 @@ def run_chain(cfg: ModelConfig, data: Dataset, variant: VariantId | str,
               n_steps: int, rng: RngStream, *, init: str = "fixed",
               theta: Theta | None = None, g0: float = 1.0,
               reference: np.ndarray | None = None, batch: int = 1,
-              record_every: int = 1, scans: int = 1,
+              record_every: int = 1,
               state: ChainState | None = None) -> ChainTrace:
     """Advance a batch of chains n_steps, recording every record_every-th state.
 
@@ -489,7 +470,7 @@ def run_chain(cfg: ModelConfig, data: Dataset, variant: VariantId | str,
 
     record(0)
     for t in range(1, n_steps + 1):
-        kernel_step(cfg, data, state, variant, rng, scans=scans)
+        kernel_step(cfg, data, state, variant, rng)
         if t % record_every == 0:
             record(t)
     return ChainTrace(variant=variant, c=cfg.c, p=cfg.p,

@@ -33,15 +33,15 @@ from .kernels import ChainState, VariantId, initial_state, kernel_step
 from .model import ModelConfig, Theta, sample_dataset
 from .sampling import RngStream
 
-TRANSFORMS = ("theta", "g-theta", "alpha", "theta-norm", "alpha-ratio")
+TRANSFORMS = ("theta", "g-theta", "alpha", "alpha-ratio")
 
 
 def apply_transform(alpha, beta, g, name: str) -> np.ndarray:
     """Evaluate a named functional of the state on (B, .) blocks.
 
     ``theta`` is the raw parameter, ``g-theta`` the identified rescaling,
-    ``alpha`` the cut-point block, ``theta-norm`` the parameter norm, and
-    ``alpha-ratio`` the consecutive cut-point ratios (needs c >= 4).
+    ``alpha`` the cut-point block, and ``alpha-ratio`` the consecutive
+    cut-point ratios (needs c >= 4).
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
@@ -54,9 +54,6 @@ def apply_transform(alpha, beta, g, name: str) -> np.ndarray:
         if not alpha.shape[1]:
             raise ValueError("alpha transform needs c >= 3")
         return alpha.copy()
-    if name == "theta-norm":
-        full = np.concatenate([alpha, beta], axis=1)
-        return np.linalg.norm(full, axis=1, keepdims=True)
     if name == "alpha-ratio":
         if alpha.shape[1] < 2:
             raise ValueError("alpha-ratio transform needs c >= 4")
@@ -179,8 +176,7 @@ def wprime_from_series(series: np.ndarray, scale: float = 1.0) -> float:
     series = np.atleast_2d(np.asarray(series, dtype=float))
     if series.shape[0] < 2:
         raise ValueError("need the start plus at least one step")
-    gaps = np.linalg.norm(series[1:] - series[0], axis=-1)
-    return float(np.mean(np.minimum(scale * gaps, 1.0)))
+    return float(np.mean(ground_metric(series[1:], series[0], scale)))
 
 
 @dataclasses.dataclass
@@ -262,8 +258,8 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
                     R: int, master_seed: int, *, theta0: Theta,
                     start: str = "reference-posterior",
                     theta_start: Theta | None = None,
-                    transform: str = "theta", bank_size: int = 512,
-                    scans: int = 1) -> DiagnosticsReport:
+                    transform: str = "theta",
+                    bank_size: int = 512) -> DiagnosticsReport:
     """Average distance between a chain's start and its next m states.
 
     Each replication generates a fresh dataset, starts one chain (from an
@@ -293,7 +289,7 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
         series = np.empty((m + 1, transform_state(state, transform).shape[1]))
         series[0] = transform_state(state, transform)[0]
         for t in range(1, m + 1):
-            kernel_step(cfg, data, state, variant, chain, scans=scans)
+            kernel_step(cfg, data, state, variant, chain)
             series[t] = transform_state(state, transform)[0]
         raw.append(wprime_from_series(series, 1.0))
         loc.append(wprime_from_series(series, math.sqrt(n)))
@@ -308,8 +304,8 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
 def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
                R: int, reference_size: int, master_seed: int, *,
                theta0: Theta, init: str = "fixed",
-               theta_start: Theta | None = None, transform: str = "theta",
-               scans: int = 1) -> DiagnosticsReport:
+               theta_start: Theta | None = None,
+               transform: str = "theta") -> DiagnosticsReport:
     """Distance between the chain's m-step empirical measure and the posterior.
 
     Per replication: fresh dataset, a reference posterior sample, one chain
@@ -339,7 +335,7 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
         chain = rep.child("chain")
         series = np.empty((m, transform_state(state, transform).shape[1]))
         for t in range(m):
-            kernel_step(cfg, data, state, variant, chain, scans=scans)
+            kernel_step(cfg, data, state, variant, chain)
             series[t] = transform_state(state, transform)[0]
         pick = rep.child("ref-pick").generator
         ref_pts = bank[pick.permutation(bank.shape[0])[:m]]
@@ -357,19 +353,12 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
     )
 
 
-def one_step_pairs(points0: np.ndarray, points1: np.ndarray, scale: float) -> np.ndarray:
-    """Localized motions d(F(s0), F(s1)) for paired rows."""
-    p0 = np.atleast_2d(np.asarray(points0, dtype=float))
-    p1 = np.atleast_2d(np.asarray(points1, dtype=float))
-    return np.minimum(scale * np.linalg.norm(p1 - p0, axis=-1), 1.0)
-
-
 def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
                        R: int, transform: str, master_seed: int, *,
                        theta0: Theta, datasets: int | None = None,
                        inner: int = 12, starts: int = 1, coords=None,
-                       bank_size: int = 1024, pool: int = 8192,
-                       scans: int = 1) -> DiagnosticsReport:
+                       bank_size: int = 1024,
+                       pool: int = 8192) -> DiagnosticsReport:
     """Mean localized one-step motion of a transform at stationarity.
 
     R replications are spread over several fresh datasets; each replication
@@ -418,9 +407,9 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
         prev = functional(state)
         motions = np.zeros((inner, b * starts))
         for t in range(inner):
-            kernel_step(cfg, data, state, variant, chain, scans=scans)
+            kernel_step(cfg, data, state, variant, chain)
             cur = functional(state)
-            motions[t] = one_step_pairs(prev, cur, scale)
+            motions[t] = ground_metric(cur, prev, scale)
             prev = cur
         values.extend(motions.reshape(inner, b, starts).mean(axis=(0, 2)))
         labels.extend([d] * b)
@@ -470,12 +459,3 @@ def classify_table1(results: dict) -> dict:
         }
     return out
 
-
-def lag1_autocorr(series: np.ndarray) -> float:
-    """Lag-one autocorrelation of a scalar series (for monitoring only)."""
-    s = np.asarray(series, dtype=float).reshape(-1)
-    s = s - s.mean()
-    denom = float(np.dot(s, s))
-    if denom == 0.0:
-        return 1.0
-    return float(np.dot(s[1:], s[:-1]) / denom)

@@ -1,14 +1,14 @@
-"""Cumulative link model: priors, data generation, likelihood, information.
+"""Cumulative probit model: priors, data generation, likelihood, information.
 
-The observation model is ordinal regression with ordered cut-points:
+The observation model is ordinal probit regression with ordered cut-points:
 
-    P(y <= j | x) = F(alpha^j + beta' x),   j = 1, ..., c,
+    P(y <= j | x) = Phi(alpha^j + beta' x),   j = 1, ..., c,
 
 with the dummy cut-points alpha^0 = -inf, alpha^1 = 0, alpha^c = +inf never
 stored, and the free ones constrained to 0 < alpha^2 < ... < alpha^{c-1}.
 When c = 2 the parameter reduces to theta = beta and the model is binary
-probit. Covariates are uniform on the unit cube and the link is probit; both
-are kept behind small spec types so the formulas stay generic.
+probit. Covariates are uniform on the unit cube. Below, Phi is the standard
+normal CDF (``ndtr``) and phi its density (``_phi``).
 """
 
 from __future__ import annotations
@@ -39,37 +39,17 @@ def _phi(z):
 
 
 @dataclasses.dataclass(frozen=True)
-class LinkSpec:
-    """A link CDF with its density and log-density derivative."""
-
-    kind: str
-    F: object
-    f: object
-    dlogf: object
-
-
-def probit_link() -> LinkSpec:
-    return LinkSpec(kind="probit", F=ndtr, f=_phi, dlogf=lambda z: -np.asarray(z, dtype=float))
-
-
-PROBIT = probit_link()
-
-
-@dataclasses.dataclass(frozen=True)
 class CovariateSpec:
-    """Covariate dimension and law; only the uniform unit cube is built in."""
+    """Covariate dimension; the covariates are uniform on the unit cube."""
 
     p: int = 1
-    law: str = "uniform-unit-cube"
 
     def __post_init__(self):
         if self.p < 1:
             raise ValueError("covariate dimension must be >= 1")
-        if self.law != "uniform-unit-cube":
-            raise ValueError(f"unsupported covariate law: {self.law!r}")
 
     def moments(self):
-        """Mean vector and second moment matrix E[x x'] of the covariate law."""
+        """Mean vector and second moment matrix E[x x'] on the unit cube."""
         mu = np.full(self.p, 0.5)
         second = np.full((self.p, self.p), 0.25)
         np.fill_diagonal(second, 1.0 / 3.0)
@@ -147,7 +127,6 @@ class Theta:
 @dataclasses.dataclass(frozen=True)
 class ModelConfig:
     c: int = 2
-    link: LinkSpec = PROBIT
     covariates: CovariateSpec = CovariateSpec()
     prior: PriorSpec = PriorSpec()
 
@@ -212,7 +191,7 @@ def full_cuts(theta: Theta, c: int) -> np.ndarray:
 
 
 def cumulative_probs(cfg: ModelConfig, theta: Theta, x) -> np.ndarray:
-    """Matrix F(alpha^j + beta'x) for j = 0..c over rows of x."""
+    """Matrix Phi(alpha^j + beta'x) for j = 0..c over rows of x."""
     cfg.validate_theta(theta)
     x = np.atleast_2d(np.asarray(x, dtype=float))
     cuts = full_cuts(theta, cfg.c)
@@ -221,7 +200,7 @@ def cumulative_probs(cfg: ModelConfig, theta: Theta, x) -> np.ndarray:
     out = np.empty_like(arg)
     out[:, 0] = 0.0
     out[:, -1] = 1.0
-    out[:, 1:-1] = cfg.link.F(arg[:, 1:-1])
+    out[:, 1:-1] = ndtr(arg[:, 1:-1])
     return out
 
 
@@ -248,15 +227,15 @@ def _cell_gradients(cfg: ModelConfig, theta: Theta, x):
 
     Returns G of shape (rows, c, dim), with G[r, j - 1] the gradient in theta
     of P(y = j | x_r), and P of shape (rows, c). Cut-point i moves cell i up
-    and cell i + 1 down by f(alpha^i + beta'x); the slopes move cell j by
-    x (f(alpha^j + beta'x) - f(alpha^{j-1} + beta'x)).
+    and cell i + 1 down by phi(alpha^i + beta'x); the slopes move cell j by
+    x (phi(alpha^j + beta'x) - phi(alpha^{j-1} + beta'x)).
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     P = cell_probabilities(cfg, theta, x)
     cuts = full_cuts(theta, cfg.c)
     finite = np.isfinite(cuts)
     dens = np.zeros((x.shape[0], cfg.c + 1))
-    dens[:, finite] = cfg.link.f(cuts[None, finite] + (x @ theta.beta)[:, None])
+    dens[:, finite] = _phi(cuts[None, finite] + (x @ theta.beta)[:, None])
 
     G = np.zeros((x.shape[0], cfg.c, cfg.dim))
     for i in range(2, cfg.c):
@@ -331,37 +310,34 @@ def fisher_information(cfg: ModelConfig, theta: Theta, mc_size: int = 100_000,
     return FisherInformation(matrix=matrix, method=method, detail=detail)
 
 
-def scale_constants(link: LinkSpec, quad_tol: float = 1e-12):
-    """Density-weighted scale constants of the link.
+def scale_constants(quad_tol: float = 1e-12):
+    """Density-weighted scale constants of the probit link.
 
-    K = int (1 + z dlogf(z))^2 f(z) dz and
-    L = int dlogf(z) (z dlogf(z) + 1) f(z) dz.
+    With dlogphi(z) = -z the log-density derivative,
+    K = int (1 + z dlogphi(z))^2 phi(z) dz = 2 and
+    L = int dlogphi(z) (z dlogphi(z) + 1) phi(z) dz = 0.
 
-    The f(z) dz weighting is what every downstream closed form needs; the
-    unweighted integrals do not even converge for the probit link.
+    The phi(z) dz weighting is what every downstream closed form needs; the
+    unweighted integrals do not converge.
     """
-    f, dlogf = link.f, link.dlogf
-
     def k_int(z):
-        return (1.0 + z * float(dlogf(z))) ** 2 * float(f(z))
+        return (1.0 - z * z) ** 2 * float(_phi(z))
 
     def l_int(z):
-        d = float(dlogf(z))
-        return d * (z * d + 1.0) * float(f(z))
+        return -z * (1.0 - z * z) * float(_phi(z))
 
     K, kerr = integrate.quad(k_int, -np.inf, np.inf, epsabs=quad_tol, epsrel=quad_tol)
     L, lerr = integrate.quad(l_int, -np.inf, np.inf, epsabs=quad_tol, epsrel=quad_tol)
     if max(kerr, lerr) > 1e-8:
         raise NumericalFailure("scale constant quadrature did not converge")
-    if K <= 0:
-        raise NumericalFailure("K must be positive for a usable link")
     return float(K), float(L)
 
 
-def score_second_moment(link: LinkSpec, quad_tol: float = 1e-12) -> float:
-    """J0 = int (f'(z)/f(z))^2 f(z) dz, the per-draw latent score variance."""
+def score_second_moment(quad_tol: float = 1e-12) -> float:
+    """J0 = int (phi'(z)/phi(z))^2 phi(z) dz = 1, the per-draw latent score
+    variance."""
     val, err = integrate.quad(
-        lambda z: float(link.dlogf(z)) ** 2 * float(link.f(z)),
+        lambda z: z ** 2 * float(_phi(z)),
         -np.inf, np.inf, epsabs=quad_tol, epsrel=quad_tol,
     )
     if err > 1e-8:
@@ -406,15 +382,14 @@ def log_likelihood_batch(cfg: ModelConfig, alpha, beta, data: Dataset,
         [np.full((B, 1), -np.inf), np.zeros((B, 1)), alpha, np.full((B, 1), np.inf)],
         axis=1,
     )
-    F = cfg.link.F
     for start in range(0, data.n, chunk):
         xs = data.x[start : start + chunk]
         ys = data.y[start : start + chunk]
         bx = beta @ xs.T
         hi = cuts[:, ys] + bx
         lo = cuts[:, ys - 1] + bx
-        ph = np.where(np.isfinite(hi), F(np.where(np.isfinite(hi), hi, 0.0)), 1.0)
-        pl = np.where(np.isfinite(lo), F(np.where(np.isfinite(lo), lo, 0.0)), 0.0)
+        ph = np.where(np.isfinite(hi), ndtr(np.where(np.isfinite(hi), hi, 0.0)), 1.0)
+        pl = np.where(np.isfinite(lo), ndtr(np.where(np.isfinite(lo), lo, 0.0)), 0.0)
         cell = ph - pl
         bad = cell <= 0
         cell = np.where(bad, 1.0, cell)

@@ -12,6 +12,7 @@ from mcmcdegen.asymptotics import build_reference_sir
 from mcmcdegen.kernels import (
     ChainState,
     _scan_alpha,
+    _scan_beta_null,
     VariantId,
     draw_latent,
     initial_state,
@@ -174,7 +175,8 @@ class TestInitialState:
         state = initial_state(cfg, VariantId.parse("beta-ma"), 128,
                               RngStream(13), init="reference-posterior",
                               reference=bank)
-        ident = state.identified_matrix()
+        ident = state.g[:, None] * np.concatenate([state.alpha, state.beta],
+                                                  axis=1)
         gaps = np.abs(ident[:, None, :] - bank[None, :, :]).max(axis=2)
         assert gaps.min(axis=1).max() < 1e-12
         assert len({tuple(r) for r in ident}) == 128  # no duplicate starts
@@ -301,6 +303,40 @@ class TestDegenerateRescue:
             draws.append(state.alpha[0, 0])
         assert 8.0 <= draws[0] <= np.nextafter(8.0, np.inf)
         assert draws[0] == draws[1]
+
+    def test_shut_cut_window_in_the_bulk_is_drawn(self):
+        """A window shut at a witness within 6 sd of the prior mean: the
+        one-ulp nudge carries no double mass there (and at 1.264 / sd = 10
+        it standardizes to an empty window), so the batch draw raises and
+        the sweep falls back to the elementwise extended-precision path.
+        The fourth chain's window is open."""
+        cfg = ModelConfig(c=3)
+        data = Dataset(x=np.full((4, 1), 0.5), y=np.array([1, 2, 3, 3]), c=3)
+        shut = (1.0, 0.5, 1.264)
+        witness = np.array([[-1.0, w, w, 2.0] for w in shut]
+                           + [[-1.0, 0.5, 1.5, 2.0]])
+        draws = []
+        for _ in range(2):
+            state = ChainState(alpha=np.ones((4, 1)), beta=np.zeros((4, 1)),
+                               g=np.ones(4))
+            _scan_alpha(cfg, data, state, witness, RngStream(72, "shut"))
+            draws.append(state.alpha[:, 0])
+        for w, a in zip(shut, draws[0]):
+            assert w <= a <= np.nextafter(w, np.inf)
+        assert 0.5 <= draws[0][3] <= 1.5
+        assert np.array_equal(draws[0], draws[1])
+
+    def test_shut_slope_window_in_the_bulk_is_drawn(self):
+        """The null slope sweep meets the same shut window: both rows have
+        x = 0.5 and latent z, so b must equal 2z, within 1 sd of the prior
+        mean (sd = sigma_beta = 10)."""
+        cfg = ModelConfig(c=2)
+        data = Dataset(x=np.full((2, 1), 0.5), y=np.array([1, 2]), c=2)
+        for z in (0.25, 0.5, 1.0):
+            state = ChainState(alpha=np.zeros((1, 0)), beta=np.array([[0.0]]),
+                               g=np.ones(1), z=np.full((1, 2), z))
+            _scan_beta_null(cfg, data, state, RngStream(73, "shut"))
+            assert 2 * z <= state.beta[0, 0] <= np.nextafter(2 * z, np.inf)
 
 
 # sha256 of the alpha, beta and g bytes of 50-step run_chain traces. Keys

@@ -13,6 +13,7 @@ from mcmcdegen.model import (
     ModelConfig,
     Theta,
     _cell_gradients,
+    _phi,
     cell_probabilities,
     cumulative_probs,
     fisher_information,
@@ -20,7 +21,6 @@ from mcmcdegen.model import (
     log_likelihood_batch,
     log_prior,
     prior_theta_draws,
-    probit_link,
     sample_dataset,
     save_dataset,
     scale_constants,
@@ -47,12 +47,12 @@ def normalized_score(cfg, theta, data):
 
 class TestLinkConstants:
     def test_probit_scale_constants(self):
-        K, L = scale_constants(probit_link())
+        K, L = scale_constants()
         assert abs(K - 2.0) < 1e-8
         assert abs(L) < 1e-8
 
     def test_probit_score_second_moment(self):
-        assert abs(score_second_moment(probit_link()) - 1.0) < 1e-8
+        assert abs(score_second_moment() - 1.0) < 1e-8
 
 
 class TestTheta:
@@ -151,7 +151,7 @@ def _oracle_information_terms(cfg, theta, xs):
     out = np.zeros((len(xs), cfg.dim, cfg.dim))
     for r, x in enumerate(xs):
         bx = float(x @ theta.beta)
-        dens = [float(cfg.link.f(cut + bx)) if np.isfinite(cut) else 0.0
+        dens = [float(_phi(cut + bx)) if np.isfinite(cut) else 0.0
                 for cut in cuts]
         for j in range(1, cfg.c + 1):
             prob = cell_probability(cfg, theta, x, j)
@@ -224,7 +224,7 @@ class TestFisherMonteCarlo:
         th = Theta(alpha=(0.5,), beta=(6.0, 6.0))
         xs = RngStream(7, "fisher-mc").generator.random((3000, 2))
         probs = cell_probabilities(cfg, th, xs)
-        top_density = cfg.link.f(0.5 + xs @ th.beta)
+        top_density = _phi(0.5 + xs @ th.beta)
         assert np.any((probs[:, 2] == 0.0) & (top_density > 0.0))
         fi = fisher_information(cfg, th, mc_size=3000, seed=7)
         oracle, _ = _oracle_monte_carlo(cfg, th, 3000, 7)

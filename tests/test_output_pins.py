@@ -34,11 +34,8 @@ from mcmcdegen.model import (CovariateSpec, ModelConfig, log_likelihood_batch,
 from mcmcdegen.sampling import RngStream
 
 
-def _sha(*arrays) -> str:
-    digest = hashlib.sha256()
-    for arr in arrays:
-        digest.update(np.ascontiguousarray(arr).tobytes())
-    return digest.hexdigest()
+def _sha(arr) -> str:
+    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()
 
 
 # ------------------------------------------------------------------ loglik
