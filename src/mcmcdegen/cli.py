@@ -44,6 +44,26 @@ def _parse_opts(pairs) -> dict:
     return out
 
 
+#: The ``--opt`` keys each subcommand reads; the plan scenarios list
+#: theirs in ``harness.SCENARIO_OPTIONS``.
+_COMMAND_OPTIONS = {
+    "gen-data": ("theta0",),
+    "run-chain": ("init", "start", "record_every"),
+    "build-reference": ("length", "burn", "thin"),
+}
+
+
+def _check_opts(opts: dict, command: str) -> dict:
+    """Refuse option keys that the subcommand or plan scenario ``command``
+    does not read."""
+    known = _COMMAND_OPTIONS.get(command) or harness.SCENARIO_OPTIONS[command]
+    unknown = sorted(set(opts) - set(known))
+    if unknown:
+        raise ValueError(f"unknown option {', '.join(map(repr, unknown))} for "
+                         f"{command}; known: {', '.join(known)}")
+    return opts
+
+
 def _load_config(path) -> dict:
     if not path:
         return {}
@@ -96,7 +116,7 @@ def cmd_gen_data(args) -> int:
     n = int(_setting(args, cfg, "n", 100))
     seed = int(_setting(args, cfg, "seed", 20_240_817))
     out = Path(_setting(args, cfg, "out", f"data_c{c}_n{n}.csv"))
-    opts = _parse_opts(args.opt)
+    opts = _check_opts(_parse_opts(args.opt), "gen-data")
     mc = _model_for(c, p)
     theta0 = _start_theta({"start": opts.get("theta0")}, c, p) \
         or harness.default_theta0(c, p)
@@ -110,7 +130,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run_chain(args) -> int:
     cfg = _load_config(args.config)
-    opts = _parse_opts(args.opt)
+    opts = _check_opts(_parse_opts(args.opt), "run-chain")
     variant = VariantId.parse(_setting(args, cfg, "variant", "binary-beta"))
     c = int(_setting(args, cfg, "c", 2 if variant.binary else 3))
     p = int(_setting(args, cfg, "p", 1))
@@ -143,7 +163,7 @@ def cmd_run_chain(args) -> int:
 
 def cmd_build_reference(args) -> int:
     cfg = _load_config(args.config)
-    opts = _parse_opts(args.opt)
+    opts = _check_opts(_parse_opts(args.opt), "build-reference")
     c = int(_setting(args, cfg, "c", 2))
     p = int(_setting(args, cfg, "p", 1))
     n = int(_setting(args, cfg, "n", 100))
@@ -170,6 +190,7 @@ def _plan_from_args(args, scenario: str) -> harness.ExperimentPlan:
     cfg = _load_config(args.config)
     opts = dict(cfg.get("options", {}))
     opts.update(_parse_opts(args.opt))
+    _check_opts(opts, scenario)
     kw = {"master_seed": _setting(args, cfg, "seed"),
           "out_dir": _setting(args, cfg, "out"),
           "m": _setting(args, cfg, "m"),

@@ -56,6 +56,17 @@ _FIGURES = tuple(_FIGURE_VARIANTS)
 _SCENARIOS = _FIGURES + ("table1", "diagnose", "custom")
 
 
+_DIAGNOSE_OPTIONS = ("theta0", "transform", "inner", "starts", "bank_size",
+                     "pool", "with_risk", "reference_size")
+#: The ``options`` keys each scenario's cells read; ``cli`` refuses others.
+SCENARIO_OPTIONS = {
+    **{fig: ("theta0", "start") for fig in _FIGURES},
+    "table1": ("theta0", "datasets", "inner", "starts", "bank_size", "pool"),
+    "diagnose": _DIAGNOSE_OPTIONS,
+    "custom": _DIAGNOSE_OPTIONS,
+}
+
+
 def default_theta0(c: int, p: int = 1) -> Theta:
     """True-parameter design for a given number of outcome categories."""
     if p == 1 and c in DEFAULT_THETA0:

@@ -105,11 +105,10 @@ def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
     prep = cache.get(cfg)
     if prep is None:
         a = data.x.T @ data.x + np.eye(cfg.p) / cfg.prior.sigma_beta ** 2
+        rows = data.category_rows
         prep = cache.setdefault(cfg, _Prepared(
             below=data.y - 1,
-            cut_rows=tuple((np.flatnonzero(data.y == j),
-                            np.flatnonzero(data.y == j + 1))
-                           for j in range(2, cfg.c)),
+            cut_rows=tuple((rows[j - 1], rows[j]) for j in range(2, cfg.c)),
             chol=cholesky(a, lower=True),
         ))
     return prep

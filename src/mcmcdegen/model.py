@@ -28,6 +28,8 @@ from .sampling import RngStream
 
 _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 _FISHER_BLOCK = 4096   # Monte Carlo rows per block in fisher_information; bounds its temporaries
+_LIKELIHOOD_CHUNK = 4096    # observations per chunk in log_likelihood_batch
+_LIKELIHOOD_BLOCK = 1 << 15  # draw x observation cells per block; keeps its temporaries in L2
 
 
 class NumericalFailure(RuntimeError):
@@ -173,6 +175,16 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.x.shape[1]
+
+    @functools.cached_property
+    def category_rows(self) -> tuple:
+        """Rows of each category, ascending: entry j - 1 holds the rows
+        with y == j. Built once from ``y``, so ``y`` must not be mutated
+        afterwards; the arrays are read-only."""
+        rows = tuple(np.flatnonzero(self.y == j) for j in range(1, self.c + 1))
+        for r in rows:
+            r.flags.writeable = False
+        return rows
 
     @functools.cached_property
     def _kernel_cache(self) -> dict:
@@ -362,41 +374,75 @@ def log_prior(cfg: ModelConfig, alpha, beta) -> np.ndarray:
     return out
 
 
-def log_likelihood_batch(cfg: ModelConfig, alpha, beta, data: Dataset,
-                         chunk: int = 4096) -> np.ndarray:
+def log_likelihood_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.ndarray:
     """Log likelihood of the dataset at a batch of parameter values.
 
-    Vectorized over a (B, c-2) cut block and (B, p) slope block; data rows
-    are processed in chunks to bound memory. Rows with an invalid cone get
-    -inf.
+    Vectorized over a (B, c-2) cut block and (B, p) slope block; rows with
+    an invalid cone get -inf, and so does a row with a cell whose
+    probability rounds to 0 or below.
+
+    The observations are taken in chunks of ``_LIKELIHOOD_CHUNK``, and
+    within a chunk b'x is one matrix product over the whole batch. The
+    draws are then scored in row blocks of about ``_LIKELIHOOD_BLOCK``
+    cells, so every temporary stays in cache. Within a block each
+    category's observations (``Dataset.category_rows``) are gathered once
+    and need one ``ndtr`` at an end category, two in the middle:
+    category 1 has Phi(0 + b'x), category c has 1 - Phi(alpha^{c-1} +
+    b'x). The cells are scattered back into observation order before the
+    log and the row sum, so every value has the bits of the plain
+    two-sided formula on finite parameters: each cell takes the same
+    floating-point operations, and each row is summed in the same order.
+    The product b'x stays whole across the batch because the BLAS may
+    round a row differently when it is computed in a smaller block.
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    B = alpha.shape[0]
+    B, c = alpha.shape[0], alpha.shape[1] + 2
     out = np.zeros(B)
     valid = np.ones(B, dtype=bool)
-    if alpha.shape[1]:
+    if c > 2:
         valid = np.all(alpha > 0, axis=1) & np.all(np.diff(alpha, axis=1) > 0, axis=1)
-
-    cuts = np.concatenate(
-        [np.full((B, 1), -np.inf), np.zeros((B, 1)), alpha, np.full((B, 1), np.inf)],
-        axis=1,
-    )
-    for start in range(0, data.n, chunk):
-        xs = data.x[start : start + chunk]
-        ys = data.y[start : start + chunk]
-        bx = beta @ xs.T
-        hi = cuts[:, ys] + bx
-        lo = cuts[:, ys - 1] + bx
-        ph = np.where(np.isfinite(hi), ndtr(np.where(np.isfinite(hi), hi, 0.0)), 1.0)
-        pl = np.where(np.isfinite(lo), ndtr(np.where(np.isfinite(lo), lo, 0.0)), 0.0)
-        cell = ph - pl
-        bad = cell <= 0
-        cell = np.where(bad, 1.0, cell)
-        out += np.sum(np.log(cell), axis=1)
-        out[np.any(bad, axis=1)] = -np.inf
+    cuts = np.concatenate([np.zeros((B, 1)), alpha], axis=1)  # alpha^1 .. alpha^{c-1}
+    for start in range(0, data.n, _LIKELIHOOD_CHUNK):
+        stop = min(start + _LIKELIHOOD_CHUNK, data.n)
+        bx = beta @ data.x[start:stop].T
+        groups = []
+        for j, rows in enumerate(data.category_rows, start=1):
+            lo, hi = rows.searchsorted((start, stop))
+            if hi > lo:
+                groups.append((j, rows[lo:hi] - start))
+        step = max(1, _LIKELIHOOD_BLOCK // (stop - start))
+        for r0 in range(0, B, step):
+            rb = slice(r0, r0 + step)
+            cell = _category_cells(bx[rb], cuts[rb], groups, c)
+            bad = cell <= 0
+            cell[bad] = 1.0
+            np.log(cell, out=cell)
+            out[rb] += cell.sum(axis=1)
+            out[rb][bad.any(axis=1)] = -np.inf
     out[~valid] = -np.inf
     return out
+
+
+def _category_cells(bx: np.ndarray, cuts: np.ndarray, groups: list,
+                    c: int) -> np.ndarray:
+    """Cell probabilities P(y_i | x_i) of a row block, in observation order.
+
+    ``groups`` pairs each category j present with its columns of ``bx``;
+    ``cuts`` holds the block's alpha^1 = 0 .. alpha^{c-1} as columns.
+    """
+    cell = np.empty(bx.shape)
+    for j, cols in groups:
+        b = bx[:, cols]
+        if j == c:
+            p = ndtr(cuts[:, j - 2, None] + b)
+            np.subtract(1.0, p, out=p)
+        else:
+            p = ndtr(cuts[:, j - 1, None] + b)
+            if j > 1:
+                p -= ndtr(cuts[:, j - 2, None] + b)
+        cell[:, cols] = p
+    return cell
 
 
 def log_posterior_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.ndarray:

@@ -134,6 +134,44 @@ class TestErrors:
         assert code == 2
         assert "KEY=VALUE" in json.loads(err)["error"]["message"]
 
+    def test_unknown_opt_run_chain(self, tmp_path, capsys):
+        code, _, err = _run(capsys, [
+            "run-chain", "--variant", "beta", "--c", "3", "--n", "20",
+            "--m", "2", "--out", str(tmp_path), "--opt", "recrd_every=5"])
+        assert code == 2
+        msg = json.loads(err)["error"]["message"]
+        assert "'recrd_every'" in msg and "record_every" in msg
+        assert not list(tmp_path.iterdir())
+
+    def test_unknown_opt_diagnose(self, tmp_path, capsys):
+        code, _, err = _run(capsys, [
+            "diagnose", "--out", str(tmp_path), "--n", "50", "--m", "4",
+            "--R", "2", "--opt", "bank_sz=64"])
+        assert code == 2
+        msg = json.loads(err)["error"]["message"]
+        assert "'bank_sz'" in msg and "bank_size" in msg
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["gen-data", "--opt", "start=1"],
+        ["build-reference", "--opt", "scans=2"],
+        ["table1", "--opt", "with_risk=true"],
+        ["figure", "--scenario", "fig1", "--opt", "pool=1024"],
+    ])
+    def test_opt_from_another_command(self, tmp_path, capsys, argv):
+        code, _, err = _run(capsys, argv + ["--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "unknown option" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_unknown_option_in_config_file(self, tmp_path, capsys):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"options": {"inner": 3, "startz": 2}}))
+        code, _, err = _run(capsys, [
+            "table1", "--config", str(conf), "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'startz'" in json.loads(err)["error"]["message"]
+
     def test_missing_config_file(self, capsys):
         code, _, err = _run(capsys, ["gen-data", "--config", "/no/such.json"])
         assert code == 2

@@ -5,11 +5,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
-from scipy.special import roots_legendre
+from scipy.special import ndtr, roots_legendre
 from scipy.stats import norm
 
+from mcmcdegen import model
+from mcmcdegen.kernels import _prepared
 from mcmcdegen.model import (
     CovariateSpec,
+    Dataset,
     ModelConfig,
     Theta,
     _cell_gradients,
@@ -295,6 +298,142 @@ class TestLogDensities:
         alpha = draws[:, : cfg.c - 2]
         assert np.all(alpha[:, 0] > 0)
         assert np.all(np.diff(alpha, axis=1) > 0)
+
+
+def _oracle_log_likelihood(alpha, beta, data, chunk=4096):
+    """The two-sided likelihood the category-grouped one replaced: both
+    cut-points of every observation, with the infinite dummies patched by
+    ``isfinite``/``where``. Kept as the bitwise reference."""
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    beta = np.atleast_2d(np.asarray(beta, dtype=float))
+    B = alpha.shape[0]
+    out = np.zeros(B)
+    valid = np.ones(B, dtype=bool)
+    if alpha.shape[1]:
+        valid = np.all(alpha > 0, axis=1) & np.all(np.diff(alpha, axis=1) > 0, axis=1)
+    cuts = np.concatenate(
+        [np.full((B, 1), -np.inf), np.zeros((B, 1)), alpha, np.full((B, 1), np.inf)],
+        axis=1,
+    )
+    for start in range(0, data.n, chunk):
+        xs = data.x[start : start + chunk]
+        ys = data.y[start : start + chunk]
+        bx = beta @ xs.T
+        hi = cuts[:, ys] + bx
+        lo = cuts[:, ys - 1] + bx
+        ph = np.where(np.isfinite(hi), ndtr(np.where(np.isfinite(hi), hi, 0.0)), 1.0)
+        pl = np.where(np.isfinite(lo), ndtr(np.where(np.isfinite(lo), lo, 0.0)), 0.0)
+        cell = ph - pl
+        bad = cell <= 0
+        cell = np.where(bad, 1.0, cell)
+        out += np.sum(np.log(cell), axis=1)
+        out[np.any(bad, axis=1)] = -np.inf
+    out[~valid] = -np.inf
+    return out
+
+
+def _draws(c, p, B, seed, extreme=()):
+    """B parameter rows near the design point; rows in ``extreme`` get
+    beta = +9, -9 or an off-cone cut block in turn."""
+    gen = np.random.default_rng(seed)
+    alpha = np.cumsum(gen.uniform(0.2, 1.0, (B, c - 2)), axis=1)
+    beta = gen.normal(-1.0, 1.5, (B, p))
+    for k, row in enumerate(extreme):
+        if k % 3 == 0:
+            beta[row] = 9.0
+        elif k % 3 == 1:
+            beta[row] = -9.0
+        elif c > 2:
+            alpha[row] = -alpha[row]
+    return alpha, beta
+
+
+def _assert_bits(alpha, beta, data):
+    cfg = ModelConfig(c=data.c, covariates=CovariateSpec(p=data.p))
+    got = log_likelihood_batch(cfg, alpha, beta, data)
+    want = _oracle_log_likelihood(alpha, beta, data)
+    assert got.tobytes() == want.tobytes()
+    return want
+
+
+class TestLikelihoodBits:
+    """The category-grouped, row-blocked likelihood keeps the oracle's bits."""
+
+    @pytest.mark.parametrize("c", [2, 3, 4, 5])
+    def test_categories(self, c):
+        cfg = ModelConfig(c=c)
+        theta0 = Theta(alpha=tuple(0.6 * k for k in range(1, c - 1)), beta=(-1.0,))
+        data = sample_dataset(cfg, theta0, 400, seed=40 + c)
+        assert all(r.size for r in data.category_rows)
+        _assert_bits(*_draws(c, 1, 64, seed=c, extreme=range(0, 64, 7)), data)
+
+    @pytest.mark.parametrize("empty", [1, 2, 4])
+    def test_empty_category(self, empty):
+        data = sample_dataset(ModelConfig(c=4), Theta(alpha=(0.7, 1.4), beta=(-1.0,)),
+                              300, seed=5)
+        y = data.y.copy()
+        y[y == empty] = 3
+        data = Dataset(x=data.x, y=y, c=4)
+        assert data.category_rows[empty - 1].size == 0
+        _assert_bits(*_draws(4, 1, 40, seed=6, extreme=(3, 4, 5)), data)
+
+    @pytest.mark.parametrize("c", [2, 3])
+    def test_single_row(self, c):
+        data = sample_dataset(ModelConfig(c=c), Theta(alpha=(1.0,) * (c - 2), beta=(-1.0,)),
+                              400, seed=7)
+        alpha, beta = _draws(c, 1, 3, seed=8, extreme=(1, 2))
+        for row in range(3):
+            _assert_bits(alpha[row : row + 1], beta[row : row + 1], data)
+
+    @pytest.mark.parametrize("c,p,n", [(3, 1, 400), (4, 2, 400), (3, 2, 12)])
+    def test_row_blocks_with_inf_rows(self, c, p, n):
+        cfg = ModelConfig(c=c, covariates=CovariateSpec(p=p))
+        theta0 = Theta(alpha=tuple(0.7 * k for k in range(1, c - 1)), beta=(-1.0,) * p)
+        data = sample_dataset(cfg, theta0, n, seed=9)
+        step = model._LIKELIHOOD_BLOCK // data.n
+        # The last block holds one row: numpy multiplies a single row by
+        # another BLAS routine, which can round b'x differently at p > 1.
+        B = 4 * step + 1
+        extreme = [3, 4, 5, step + 1, step + 2, 2 * step + 7, 3 * step + 8]
+        want = _assert_bits(*_draws(c, p, B, seed=10, extreme=extreme), data)
+        dead = np.flatnonzero(want == -np.inf)
+        assert np.unique(dead // step).size >= 3
+
+    def test_two_observation_chunks(self):
+        cfg = ModelConfig(c=3)
+        data = sample_dataset(cfg, Theta(alpha=(1.0,), beta=(-1.0,)), 5000, seed=11)
+        assert model._LIKELIHOOD_CHUNK < data.n < 2 * model._LIKELIHOOD_CHUNK
+        want = _assert_bits(*_draws(3, 1, 30, seed=12, extreme=(0, 1, 2, 17)), data)
+        assert np.isfinite(want).sum() >= 20
+
+    @settings(max_examples=25, deadline=None)
+    @given(c=st.integers(2, 5), p=st.integers(1, 3), n=st.integers(1, 700),
+           B=st.integers(1, 120), seed=st.integers(0, 2**31))
+    def test_random_shapes(self, c, p, n, B, seed):
+        gen = np.random.default_rng(seed)
+        data = Dataset(x=gen.random((n, p)), y=gen.integers(1, c + 1, n), c=c)
+        _assert_bits(*_draws(c, p, B, seed, extreme=range(0, B, 11)), data)
+
+
+class TestCategoryIndex:
+    def test_index_follows_each_datasets_labels(self):
+        """Two datasets of one size, shape and x but different labels each
+        keep their own category index, in the likelihood and the kernels."""
+        cfg = ModelConfig(c=3)
+        first = sample_dataset(cfg, Theta(alpha=(1.0,), beta=(-1.0,)), 200, seed=1)
+        second = Dataset(x=first.x, y=sample_dataset(
+            cfg, Theta(alpha=(0.5,), beta=(1.0,)), 200, seed=2).y, c=3)
+        assert not np.array_equal(first.y, second.y)
+        alpha, beta = _draws(3, 1, 16, seed=3)
+        values = []
+        for data in (first, second, first, second):
+            values.append(_assert_bits(alpha, beta, data))
+            for j, rows in enumerate(data.category_rows, start=1):
+                assert np.array_equal(rows, np.flatnonzero(data.y == j))
+            low, high = _prepared(cfg, data).cut_rows[0]
+            assert low is data.category_rows[1] and high is data.category_rows[2]
+        assert values[0].tobytes() != values[1].tobytes()
+        assert first.category_rows is not second.category_rows
 
 
 class TestCovariates:
