@@ -21,8 +21,8 @@ import numpy as np
 
 from . import asymptotics, harness, metrics, model
 from .kernels import VariantId, run_chain, trace_filename
-from .model import CovariateSpec, ModelConfig, NumericalFailure, Theta
-from .sampling import RngStream, SamplingError
+from .model import CovariateSpec, ModelConfig, Theta
+from .sampling import RngStream
 
 __all__ = ["main", "build_parser", "run_verify"]
 
@@ -60,7 +60,7 @@ def _check_opts(opts: dict, command: str) -> dict:
     unknown = sorted(set(opts) - set(known))
     if unknown:
         raise ValueError(f"unknown option {', '.join(map(repr, unknown))} for "
-                         f"{command}; known: {', '.join(known)}")
+                         f"{command}; known: {', '.join(known) or 'none'}")
     return opts
 
 
@@ -154,8 +154,8 @@ def cmd_run_chain(args) -> int:
                       init=init, theta=start, reference=reference,
                       record_every=int(opts.get("record_every", 1)))
     out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / trace_filename(variant, n, 0)
-    trace.save(path, rep=0)
+    path = out_dir / trace_filename(variant, n)
+    trace.save(path)
     print(json.dumps({"path": str(path), "variant": variant.name,
                       "n": n, "steps": m, "seed": seed}))
     return 0
@@ -186,8 +186,8 @@ def cmd_build_reference(args) -> int:
     return 0
 
 
-def _plan_from_args(args, scenario: str) -> harness.ExperimentPlan:
-    cfg = _load_config(args.config)
+def _plan_from_args(args, cfg: dict,
+                    scenario: str) -> harness.ExperimentPlan:
     opts = dict(cfg.get("options", {}))
     opts.update(_parse_opts(args.opt))
     _check_opts(opts, scenario)
@@ -214,33 +214,24 @@ def _plan_from_args(args, scenario: str) -> harness.ExperimentPlan:
     return harness.make_plan(scenario, **kw)
 
 
-def cmd_diagnose(args) -> int:
-    plan = _plan_from_args(args, "diagnose")
-    manifest = harness.orchestrate(plan)
-    print((Path(plan.out_dir) / "diagnostics.csv").read_text(), end="")
-    print(json.dumps({"out_dir": plan.out_dir,
-                      "cells": len(manifest.cells)}))
-    return 0
-
-
-def cmd_table1(args) -> int:
-    plan = _plan_from_args(args, "table1")
-    manifest = harness.orchestrate(plan)
-    print((Path(plan.out_dir) / "table1.csv").read_text(), end="")
-    print(json.dumps({"out_dir": plan.out_dir,
-                      "cells": len(manifest.cells)}))
-    return 0
-
-
-def cmd_figure(args) -> int:
+def cmd_plan(args) -> int:
+    """Run a harness plan: ``diagnose``, ``table1``, or ``figure`` with its
+    ``--scenario``; print the summary CSV, or the figure's name."""
     cfg = _load_config(args.config)
-    scenario = _setting(args, cfg, "scenario")
-    if scenario not in ("fig1", "fig2", "fig3"):
-        raise ValueError("--scenario must be one of fig1, fig2, fig3")
-    plan = _plan_from_args(args, scenario)
-    harness.orchestrate(plan)
-    print(json.dumps({"out_dir": plan.out_dir,
-                      "figure": f"{scenario}.svg"}))
+    scenario = args.command
+    if scenario == "figure":
+        scenario = _setting(args, cfg, "scenario")
+        if scenario not in ("fig1", "fig2", "fig3"):
+            raise ValueError("--scenario must be one of fig1, fig2, fig3")
+    plan = _plan_from_args(args, cfg, scenario)
+    manifest = harness.orchestrate(plan)
+    if args.summary is None:
+        print(json.dumps({"out_dir": plan.out_dir,
+                          "figure": f"{scenario}.svg"}))
+    else:
+        print((Path(plan.out_dir) / args.summary).read_text(), end="")
+        print(json.dumps({"out_dir": plan.out_dir,
+                          "cells": len(manifest.cells)}))
     return 0
 
 
@@ -332,16 +323,14 @@ def _check_scale_conditional():
 
     rng = np.random.default_rng(7)
     n, c, p = 40, 3, 1
-    mc = _model_for(c, p)
     alpha = np.array([0.8])
     beta = np.array([-0.6])
     z = rng.normal(scale=0.9, size=n)
     x = rng.random((n, p))
-    pr = mc.prior
-    shape = pr.a0 + (n + c - 2 + p) / 2.0
-    rate = (pr.b0 + 0.5 * np.sum((z + x @ beta) ** 2)
-            + 0.5 * np.sum(alpha ** 2) / pr.sigma_alpha ** 2
-            + 0.5 * np.sum(beta ** 2) / pr.sigma_beta ** 2)
+    shape = model.A0 + (n + c - 2 + p) / 2.0
+    rate = (model.B0 + 0.5 * np.sum((z + x @ beta) ** 2)
+            + 0.5 * np.sum(alpha ** 2) / model.SIGMA_ALPHA ** 2
+            + 0.5 * np.sum(beta ** 2) / model.SIGMA_BETA ** 2)
     mean = shape / rate
     sd = np.sqrt(shape) / rate
     ts = np.linspace(max(mean - 8 * sd, 1e-8), mean + 8 * sd, 4001)
@@ -349,9 +338,9 @@ def _check_scale_conditional():
     for t in ts:
         g = np.sqrt(t)
         lp = norm.logpdf(z, loc=-(x @ beta), scale=1.0 / g).sum()
-        lp += norm.logpdf(alpha, scale=pr.sigma_alpha / g).sum()
-        lp += norm.logpdf(beta, scale=pr.sigma_beta / g).sum()
-        lp += gamma_dist.logpdf(t, a=pr.a0, scale=1.0 / pr.b0)
+        lp += norm.logpdf(alpha, scale=model.SIGMA_ALPHA / g).sum()
+        lp += norm.logpdf(beta, scale=model.SIGMA_BETA / g).sum()
+        lp += gamma_dist.logpdf(t, a=model.A0, scale=1.0 / model.B0)
         logs.append(lp)
     logs = np.asarray(logs)
     dens = np.exp(logs - logs.max())
@@ -405,17 +394,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp, "seed", "out", "n", "c", "p")
     sp.set_defaults(func=cmd_build_reference)
 
-    sp = sub.add_parser("diagnose", help="risk and one-step diagnostics")
-    common(sp, "seed", "out", "n", "m", "R", "c", "p", "variant", "threads")
-    sp.set_defaults(func=cmd_diagnose)
-
-    sp = sub.add_parser("table1", help="kernel classification table")
-    common(sp, "seed", "out", "n", "R", "c", "p", "variant", "threads")
-    sp.set_defaults(func=cmd_table1)
-
-    sp = sub.add_parser("figure", help="trajectory figures")
-    common(sp, "seed", "out", "n", "m", "c", "p", "threads", "scenario")
-    sp.set_defaults(func=cmd_figure)
+    for command, text, summary, flags in (
+            ("diagnose", "risk and one-step diagnostics", "diagnostics.csv",
+             ("m", "R", "variant")),
+            ("table1", "kernel classification table", "table1.csv",
+             ("R", "variant")),
+            ("figure", "trajectory figures", None, ("m", "scenario"))):
+        sp = sub.add_parser(command, help=text)
+        common(sp, "seed", "out", "n", "c", "p", "threads", *flags)
+        sp.set_defaults(func=cmd_plan, summary=summary)
 
     sp = sub.add_parser("verify", help="run the fast oracle suite")
     sp.add_argument("--out", help="also write the report to this file")
@@ -437,7 +424,7 @@ def main(argv=None) -> int:
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)
         return 2
-    except (NumericalFailure, SamplingError, ArithmeticError) as exc:
+    except (RuntimeError, ArithmeticError) as exc:  # failed plan cells too
         print(json.dumps({"error": {"type": type(exc).__name__,
                                     "message": str(exc)}}), file=sys.stderr)
         return 1

@@ -1,19 +1,28 @@
 """Experiment harness: plans, threaded execution, and deterministic outputs.
 
-A plan names a scenario (trace figures, the classification table, or a
-diagnostic sweep) and pins every knob that affects the numbers, plus a
-master seed. Each cell of a plan runs on a thread pool and writes its own
-files, whose names and bytes depend only on the cell. A manifest records
-the resolved configuration, per-cell timings and the sha256 of every
-file written; it is saved as each cell finishes, so a run that stops
-partway keeps its finished cells. The summary (figure or table) is always
-built from the cell files read back from disk. Re-running a plan skips
-every cell whose files still carry their recorded digests.
+A plan names a scenario and pins every knob that affects the numbers,
+plus a master seed; ``make_plan`` overlays the caller's choices on the
+scenario's default grid. The figures (fig1, fig2, fig3) run one recorded
+chain per (variant, n); the grid scenarios (table1, diagnose, custom) run
+one cell per (variant, c, n), each on its own seed stream, and differ only
+in the statistics a cell computes and in the summary built from them. The
+true parameters and the figures' displaced starts are fixed designs
+(``DEFAULT_THETA0``, ``ORDINAL_TRACE_START``); ``SCENARIO_OPTIONS`` lists
+the few estimator settings a plan may carry.
+
+Each cell runs on a thread pool and writes its own files, whose names and
+bytes depend only on the cell. A manifest records the resolved
+configuration, per-cell timings and the sha256 of every file written; it
+is saved as each cell finishes, so a run that stops partway keeps its
+finished cells. The summary (figure or table) is always built from the
+cell files read back from disk. Re-running a plan skips every cell whose
+files still carry their recorded digests.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import time
@@ -36,9 +45,9 @@ __all__ = [
     "emit_figure", "make_plan", "orchestrate",
 ]
 
-#: Designs used when the caller does not pin true parameters: chosen to
-#: keep every outcome category well populated so localized motion is not
-#: dominated by a single rarely-updated cut.
+#: True parameters of the scenarios' datasets: chosen to keep every
+#: outcome category well populated so localized motion is not dominated by
+#: a single rarely-updated cut.
 DEFAULT_THETA0 = {
     2: Theta(alpha=(), beta=(2.0,)),
     3: Theta(alpha=(1.0,), beta=(-1.0,)),
@@ -49,19 +58,29 @@ DEFAULT_THETA0 = {
 #: 3 while the truth is 2, so a frozen ratio is visible immediately.
 ORDINAL_TRACE_START = Theta(alpha=(0.3, 0.9), beta=(-0.5,))
 
-#: The pair of kernels each trajectory figure draws.
-_FIGURE_VARIANTS = {"fig1": ("binary-null", "binary-beta"),
-                    "fig2": ("beta", "beta-ma"), "fig3": ("beta", "beta-ma")}
-_FIGURES = tuple(_FIGURE_VARIANTS)
-_SCENARIOS = _FIGURES + ("table1", "diagnose", "custom")
+#: Each scenario's default grid, overlaid by ``make_plan``'s keywords. A
+#: figure draws a fixed pair of kernels; ``custom`` takes its grid from
+#: the caller.
+_DEFAULTS = {
+    "fig1": dict(variants=("binary-null", "binary-beta"), n_list=(100, 1000),
+                 c_list=(2,)),
+    "fig2": dict(variants=("beta", "beta-ma"), n_list=(1000,), c_list=(4,)),
+    "fig3": dict(variants=("beta", "beta-ma"), n_list=(1000,), m=1000,
+                 c_list=(4,)),
+    "table1": dict(variants=("null", "beta", "null-ma", "beta-ma"),
+                   n_list=(100, 400, 1600), c_list=(2, 3, 4)),
+    "diagnose": dict(variants=("binary-null",), n_list=(100, 400), R=8,
+                     c_list=(2,)),
+    "custom": dict(R=8),
+}
+_FIGURES = ("fig1", "fig2", "fig3")
 
-
-_DIAGNOSE_OPTIONS = ("theta0", "transform", "inner", "starts", "bank_size",
-                     "pool", "with_risk", "reference_size")
+_DIAGNOSE_OPTIONS = ("inner", "starts", "bank_size", "pool", "with_risk",
+                     "reference_size")
 #: The ``options`` keys each scenario's cells read; ``cli`` refuses others.
 SCENARIO_OPTIONS = {
-    **{fig: ("theta0", "start") for fig in _FIGURES},
-    "table1": ("theta0", "datasets", "inner", "starts", "bank_size", "pool"),
+    **{fig: () for fig in _FIGURES},
+    "table1": ("datasets", "inner", "starts", "bank_size", "pool"),
     "diagnose": _DIAGNOSE_OPTIONS,
     "custom": _DIAGNOSE_OPTIONS,
 }
@@ -101,41 +120,22 @@ class ExperimentPlan:
 
 def make_plan(scenario: str, **kw) -> ExperimentPlan:
     """Build a plan from scenario defaults overlaid with keyword choices."""
-    if scenario not in _SCENARIOS:
+    if scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of "
-                         f"{', '.join(_SCENARIOS)}")
-    defaults: dict = {"scenario": scenario}
-    if scenario in _FIGURES:
-        defaults["variants"] = _FIGURE_VARIANTS[scenario]
-    if scenario == "fig1":
-        defaults.update(n_list=(100, 1000), m=200, c_list=(2,))
-    elif scenario == "fig2":
-        defaults.update(n_list=(1000,), m=200, c_list=(4,))
-    elif scenario == "fig3":
-        defaults.update(n_list=(1000,), m=1000, c_list=(4,))
-    elif scenario == "table1":
-        defaults.update(n_list=(100, 400, 1600), R=50,
-                        variants=("null", "beta", "null-ma", "beta-ma"),
-                        c_list=(2, 3, 4))
-    elif scenario == "diagnose":
-        defaults.update(n_list=(100, 400), m=200, R=8,
-                        variants=("binary-null",), c_list=(2,))
-    else:  # custom: the caller supplies the whole grid
-        defaults.update(m=200, R=8)
-    opts = dict(defaults.pop("options", {}))
-    opts.update(kw.pop("options", {}) or {})
+                         f"{', '.join(_DEFAULTS)}")
+    defaults = dict(_DEFAULTS[scenario], scenario=scenario)
     defaults.update({k: v for k, v in kw.items() if v is not None})
-    defaults["options"] = opts
+    defaults["options"] = dict(kw.get("options") or {})
     plan = ExperimentPlan(**defaults)
     if scenario == "custom" and not (plan.variants and plan.c_list
                                      and plan.n_list):
         raise ValueError("scenario 'custom' carries no defaults; pass "
                          "variants, c_list and n_list explicitly")
-    if (scenario in _FIGURES
-            and tuple(plan.variants) != _FIGURE_VARIANTS[scenario]):
+    if scenario in _FIGURES and (tuple(plan.variants)
+                                 != _DEFAULTS[scenario]["variants"]):
         raise ValueError(
             f"scenario {scenario!r} draws the variants "
-            f"{', '.join(_FIGURE_VARIANTS[scenario])}; got "
+            f"{', '.join(_DEFAULTS[scenario]['variants'])}; got "
             f"{', '.join(plan.variants)}")
     if scenario in ("fig2", "fig3") and any(c < 4 for c in plan.c_list):
         raise ValueError(
@@ -212,7 +212,7 @@ class RunManifest:
 
 
 # --------------------------------------------------------------------------
-# cell builders: each returns (key, task) where task() -> payload;
+# cell builders: each returns (key, task) pairs where task() -> payload;
 # _cell_files writes the payload, _read_cell reads it back for a reducer.
 
 def _model(plan: ExperimentPlan, c: int) -> ModelConfig:
@@ -225,12 +225,9 @@ def _trace_cells(plan: ExperimentPlan):
     cells = []
     c = plan.c_list[0]
     cfg = _model(plan, c)
-    theta0 = plan.options.get("theta0") or default_theta0(c, plan.p)
-    if c == 2:
-        start = plan.options.get("start") or Theta(alpha=(),
-                                                   beta=(1.5,) * plan.p)
-    else:
-        start = plan.options.get("start") or ORDINAL_TRACE_START
+    theta0 = default_theta0(c, plan.p)
+    start = (Theta(alpha=(), beta=(1.5,) * plan.p) if c == 2
+             else ORDINAL_TRACE_START)
     for n in plan.n_list:
         for name in plan.variants:
             variant = VariantId.parse(name)
@@ -247,75 +244,53 @@ def _trace_cells(plan: ExperimentPlan):
                 return {"trace": trace, "n": n}
 
             cells.append((key, task))
-    return cells, theta0
+    return cells
 
 
-def _table1_cells(plan: ExperimentPlan):
+def _grid_cells(plan: ExperimentPlan, body):
+    """One cell per (variant, c, n), seeded by its own stream; the cell
+    runs ``body(plan, variant, cfg, theta0, n, transform, seed)``."""
     cells = []
-    opts = plan.options
     for c in plan.c_list:
         cfg = _model(plan, c)
-        theta0 = opts.get("theta0") or default_theta0(c, plan.p)
+        theta0 = default_theta0(c, plan.p)
         for name in plan.variants:
             variant = VariantId.parse(name)
             transform = table1_transform(variant, c)
             for n in plan.n_list:
-                key = f"table1/{name}/c{c}/n{n}"
-                seed = RngStream(plan.master_seed, "table1", name, c,
-                                 n).seed_int()
-
-                def task(variant=variant, cfg=cfg, theta0=theta0, n=n,
-                         transform=transform, seed=seed):
-                    return one_step_statistic(
-                        variant, cfg, n, plan.R, transform, seed,
-                        theta0=theta0,
-                        datasets=opts.get("datasets", 6),
-                        inner=opts.get("inner", 16),
-                        starts=opts.get("starts", 16),
-                        bank_size=opts.get("bank_size", 1024),
-                        pool=opts.get("pool", 16384))
-
-                cells.append((key, task))
-    return cells
-
-
-def _diagnose_cells(plan: ExperimentPlan):
-    cells = []
-    opts = plan.options
-    for c in plan.c_list:
-        cfg = _model(plan, c)
-        theta0 = opts.get("theta0") or default_theta0(c, plan.p)
-        for name in plan.variants:
-            variant = VariantId.parse(name)
-            transform = opts.get("transform") or table1_transform(
-                variant, c)
-            for n in plan.n_list:
-                key = f"{plan.scenario}/{name}/c{c}/n{n}"
                 seed = RngStream(plan.master_seed, plan.scenario, name, c,
                                  n).seed_int()
-
-                def task(variant=variant, cfg=cfg, theta0=theta0, n=n,
-                         transform=transform, seed=seed):
-                    out = {}
-                    out["one_step"] = one_step_statistic(
-                        variant, cfg, n, plan.R, transform, seed,
-                        theta0=theta0, inner=opts.get("inner", 12),
-                        starts=opts.get("starts", 4),
-                        bank_size=opts.get("bank_size", 512),
-                        pool=opts.get("pool", 8192))
-                    out["risk_prime"] = estimate_Rprime(
-                        variant, cfg, n, plan.m, max(2, plan.R), seed,
-                        theta0=theta0, transform=transform,
-                        bank_size=opts.get("bank_size", 512))
-                    if opts.get("with_risk"):
-                        out["risk"] = estimate_R(
-                            variant, cfg, n, plan.m, max(2, plan.R),
-                            opts.get("reference_size", 512), seed,
-                            theta0=theta0, transform=transform)
-                    return out
-
-                cells.append((key, task))
+                cells.append((f"{plan.scenario}/{name}/c{c}/n{n}",
+                              functools.partial(body, plan, variant, cfg,
+                                                theta0, n, transform, seed)))
     return cells
+
+
+def _table1_cell(plan, variant, cfg, theta0, n, transform, seed):
+    opts = plan.options
+    return one_step_statistic(
+        variant, cfg, n, plan.R, transform, seed, theta0=theta0,
+        datasets=opts.get("datasets", 6), inner=opts.get("inner", 16),
+        starts=opts.get("starts", 16), bank_size=opts.get("bank_size", 1024),
+        pool=opts.get("pool", 16384))
+
+
+def _diagnose_cell(plan, variant, cfg, theta0, n, transform, seed):
+    opts = plan.options
+    bank_size = opts.get("bank_size", 512)
+    out = {"one_step": one_step_statistic(
+        variant, cfg, n, plan.R, transform, seed, theta0=theta0,
+        inner=opts.get("inner", 12), starts=opts.get("starts", 4),
+        bank_size=bank_size, pool=opts.get("pool", 8192))}
+    out["risk_prime"] = estimate_Rprime(
+        variant, cfg, n, plan.m, max(2, plan.R), seed, theta0=theta0,
+        transform=transform, bank_size=bank_size)
+    if opts.get("with_risk"):
+        out["risk"] = estimate_R(
+            variant, cfg, n, plan.m, max(2, plan.R),
+            opts.get("reference_size", 512), seed, theta0=theta0,
+            transform=transform)
+    return out
 
 
 # --------------------------------------------------------------------------
@@ -331,8 +306,8 @@ def _cell_files(plan: ExperimentPlan, key: str, payload,
         return [fname]
     if plan.scenario in _FIGURES:
         trace = payload["trace"]
-        fname = trace_filename(trace.variant, payload["n"], 0)
-        trace.save(out_dir / fname, rep=0)
+        fname = trace_filename(trace.variant, payload["n"])
+        trace.save(out_dir / fname)
         return [fname]
     files = []
     for stat, rep in sorted(payload.items()):
@@ -359,7 +334,8 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 theta0: Theta) -> list[str]:
     """Render trajectory panels from recorded chains.
 
-    ``traces`` maps cell keys to the columns ``load_trace`` reads. fig1:
+    ``traces`` maps cell keys to the columns ``load_trace`` reads; the
+    plan's variants are the figure's pair, the first drawn solid. fig1:
     one panel per sample size; the slope trajectory of both binary
     samplers. fig2: one panel per parameter (two cuts and the slope);
     solid without the rescaling move, dashed with it (plotting its
@@ -370,7 +346,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
     if plan.scenario == "fig1":
         for n in plan.n_list:
             series = []
-            for name, dash in zip(_FIGURE_VARIANTS["fig1"], (False, True)):
+            for name, dash in zip(plan.variants, (False, True)):
                 slope = traces[f"fig1/{name}/n{n}"]["beta1"]
                 series.append(svg.Series(
                     name=name, x=np.arange(slope.size, dtype=float),
@@ -380,7 +356,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 hline=theta0.beta[0], ylabel="slope"))
     elif plan.scenario == "fig2":
         n = plan.n_list[0]
-        raw, ma = (traces[f"fig2/{v}/n{n}"] for v in _FIGURE_VARIANTS["fig2"])
+        raw, ma = (traces[f"fig2/{v}/n{n}"] for v in plan.variants)
         labels = [("second cut", "alpha2", theta0.alpha[0]),
                   ("third cut", "alpha3", theta0.alpha[1]),
                   ("slope", "beta1", theta0.beta[0])]
@@ -395,7 +371,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 hline=truth, ylabel=title))
     elif plan.scenario == "fig3":
         n = plan.n_list[0]
-        raw, ma = (traces[f"fig3/{v}/n{n}"] for v in _FIGURE_VARIANTS["fig3"])
+        raw, ma = (traces[f"fig3/{v}/n{n}"] for v in plan.variants)
         x = np.arange(raw["step"].size, dtype=float)
         panels.append(svg.Panel(
             title=f"cut-ratio trajectory, n={n}",
@@ -447,6 +423,12 @@ def _reduce_diagnose(plan: ExperimentPlan, stats: dict,
     return ["diagnostics.csv"]
 
 
+#: Each grid scenario's cell body and the reducer that builds its summary.
+_GRID_JOBS = {"table1": (_table1_cell, _reduce_table1),
+              "diagnose": (_diagnose_cell, _reduce_diagnose),
+              "custom": (_diagnose_cell, _reduce_diagnose)}
+
+
 # --------------------------------------------------------------------------
 
 def orchestrate(plan: ExperimentPlan) -> RunManifest:
@@ -467,8 +449,8 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
     out_dir = Path(plan.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     mpath = out_dir / "manifest.json"
-    manifest = RunManifest(scenario=plan.scenario,
-                           config=_jsonable_config(plan),
+    config = json.loads(json.dumps(plan.config_dict()))  # tuples as lists
+    manifest = RunManifest(scenario=plan.scenario, config=config,
                            version=__version__)
     if mpath.exists():
         try:
@@ -479,14 +461,10 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
             manifest = old
 
     if plan.scenario in _FIGURES:
-        cells, theta0 = _trace_cells(plan)
-        summary = f"{plan.scenario}/figure"
-    elif plan.scenario == "table1":
-        cells = _table1_cells(plan)
-        summary = "table1/summary"
+        cells, summary = _trace_cells(plan), f"{plan.scenario}/figure"
     else:
-        cells = _diagnose_cells(plan)
-        summary = f"{plan.scenario}/summary"
+        body, reduce_cells = _GRID_JOBS[plan.scenario]
+        cells, summary = _grid_cells(plan, body), f"{plan.scenario}/summary"
 
     pending = [(k, t) for k, t in cells
                if not manifest.cell_done(k, out_dir)]
@@ -531,23 +509,10 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
                                  out_dir) for key, _ in cells}
         if plan.scenario in _FIGURES:
             files = emit_figure(plan, found, out_dir / f"{plan.scenario}.svg",
-                                theta0)
-        elif plan.scenario == "table1":
-            files = _reduce_table1(plan, found, out_dir)
+                                default_theta0(plan.c_list[0], plan.p))
         else:
-            files = _reduce_diagnose(plan, found, out_dir)
+            files = reduce_cells(plan, found, out_dir)
         manifest.record(summary, out_dir, files=files)
         manifest.save(mpath)
     return manifest
 
-
-def _jsonable_config(plan: ExperimentPlan) -> dict:
-    def conv(v):
-        if isinstance(v, Theta):
-            return {"alpha": list(v.alpha), "beta": list(v.beta)}
-        if isinstance(v, tuple):
-            return [conv(x) for x in v]
-        if isinstance(v, dict):
-            return {k: conv(x) for k, x in v.items()}
-        return v
-    return {k: conv(v) for k, v in plan.config_dict().items()}

@@ -9,7 +9,7 @@ Two parameterizations of the latent representation are supported:
   z_i ~ N(-b'x_i, 1/g^2) truncated to (a^{y-1}, a^y].
 
 Each comes with and without marginal augmentation by a working scale g whose
-square is Gamma(a0, b0) a priori; without augmentation g stays fixed at 1.
+square is Gamma(A0, B0) a priori; without augmentation g stays fixed at 1.
 All updates operate on a batch of chains at once (leading axis B) so that a
 whole replicate set advances under one RNG stream, making results
 independent of how work is scheduled across threads.
@@ -26,7 +26,8 @@ from scipy.linalg import cholesky
 from scipy.linalg.lapack import dpotrs, dtrtrs
 from scipy.stats import gamma as gamma_dist
 
-from .model import Dataset, ModelConfig, Theta, prior_theta_draws
+from .model import (A0, B0, SIGMA_ALPHA, SIGMA_BETA, Dataset, ModelConfig,
+                    Theta, prior_theta_draws)
 from .sampling import (
     DegenerateIntervalError,
     RngStream,
@@ -104,7 +105,7 @@ def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
     cache = data._kernel_cache
     prep = cache.get(cfg)
     if prep is None:
-        a = data.x.T @ data.x + np.eye(cfg.p) / cfg.prior.sigma_beta ** 2
+        a = data.x.T @ data.x + np.eye(cfg.p) / SIGMA_BETA ** 2
         rows = data.category_rows
         prep = cache.setdefault(cfg, _Prepared(
             below=data.y - 1,
@@ -180,7 +181,7 @@ def _scan_alpha(cfg: ModelConfig, data: Dataset, state: ChainState,
     one; category j requires a^j >= witness on {y = j} and a^j < witness on
     {y = j + 1}, on top of the ordering with the neighbors.
     """
-    sd = cfg.prior.sigma_alpha / state.g
+    sd = SIGMA_ALPHA / state.g
     last = cfg.c - 3
     for col, (low_rows, high_rows) in enumerate(_prepared(cfg, data).cut_rows):
         lo = witness[:, low_rows].max(axis=1, initial=-np.inf)
@@ -208,7 +209,7 @@ def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
     al = cuts[:, _prepared(cfg, data).below]
     z = state.z
     bx = state.beta @ data.x.T
-    sd = cfg.prior.sigma_beta / state.g
+    sd = SIGMA_BETA / state.g
     for k in range(cfg.p):
         xk = data.x[:, k]
         rest = bx - state.beta[:, k][:, None] * xk[None, :]
@@ -271,17 +272,16 @@ def update_g(cfg: ModelConfig, data: Dataset, state: ChainState,
     """
     if not variant.augmented:
         return state
-    pr = cfg.prior
     if variant.parameterization == "null":
         resid = state.z
     else:
         resid = state.z + state.beta @ data.x.T
-    shape = pr.a0 + 0.5 * (data.n + cfg.c - 2 + cfg.p)
+    shape = A0 + 0.5 * (data.n + cfg.c - 2 + cfg.p)
     rate = (
-        pr.b0
+        B0
         + 0.5 * np.sum(resid * resid, axis=1)
-        + 0.5 * np.sum(state.alpha * state.alpha, axis=1) / pr.sigma_alpha ** 2
-        + 0.5 * np.sum(state.beta * state.beta, axis=1) / pr.sigma_beta ** 2
+        + 0.5 * np.sum(state.alpha * state.alpha, axis=1) / SIGMA_ALPHA ** 2
+        + 0.5 * np.sum(state.beta * state.beta, axis=1) / SIGMA_BETA ** 2
     )
     state.g = np.sqrt(gamma_draw(shape, rate, rng))
     return state
@@ -350,16 +350,11 @@ class ChainTrace:
         )
         return cols + transform_names(self.variant, self.c, self.p)
 
-    def save(self, path, rep: int = 0) -> None:
-        """Write one chain of the batch as CSV (step,alpha...,beta...,g,...)."""
-        extra = transform_values(
-            self.alpha[:, rep], self.beta[:, rep], self.g[:, rep],
-            self.variant, self.c, self.p,
-        )
-        body = np.concatenate(
-            [self.alpha[:, rep], self.beta[:, rep], self.g[:, rep, None], extra],
-            axis=1,
-        )
+    def save(self, path) -> None:
+        """Write the batch's first chain as CSV (step,alpha...,beta...,g,...)."""
+        alpha, beta, g = self.alpha[:, 0], self.beta[:, 0], self.g[:, 0]
+        extra = transform_values(alpha, beta, g, self.variant, self.c, self.p)
+        body = np.concatenate([alpha, beta, g[:, None], extra], axis=1)
         path = Path(path)
         with path.open("w", newline="") as fh:
             writer = csv.writer(fh)
@@ -368,8 +363,8 @@ class ChainTrace:
                 writer.writerow([int(step)] + [format(v, ".17g") for v in row])
 
 
-def trace_filename(variant: VariantId, n: int, rep: int) -> str:
-    return f"{variant.name}_n{n}_r{rep}.csv"
+def trace_filename(variant: VariantId, n: int) -> str:
+    return f"{variant.name}_n{n}_r0.csv"
 
 
 def load_trace(path) -> dict:
@@ -426,11 +421,9 @@ def initial_state(cfg: ModelConfig, variant: VariantId, batch: int,
             q = np.asarray(g_quantiles, dtype=float)
             if q.shape != (batch,):
                 raise ValueError("g_quantiles must have one value per chain")
-            g = np.sqrt(gamma_dist.ppf(q, a=cfg.prior.a0,
-                                       scale=1.0 / cfg.prior.b0))
+            g = np.sqrt(gamma_dist.ppf(q, a=A0, scale=1.0 / B0))
         else:
-            g = np.sqrt(gamma_draw(cfg.prior.a0, cfg.prior.b0,
-                                   rng.child("init-g"), size=batch))
+            g = np.sqrt(gamma_draw(A0, B0, rng.child("init-g"), size=batch))
         vec = vec / g[:, None]
     else:
         g = np.ones(batch)

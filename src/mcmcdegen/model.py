@@ -1,4 +1,4 @@
-"""Cumulative probit model: priors, data generation, likelihood, information.
+"""Cumulative probit model: prior, data generation, likelihood, information.
 
 The observation model is ordinal probit regression with ordered cut-points:
 
@@ -30,6 +30,16 @@ _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 _FISHER_BLOCK = 4096   # Monte Carlo rows per block in fisher_information; bounds its temporaries
 _LIKELIHOOD_CHUNK = 4096    # observations per chunk in log_likelihood_batch
 _LIKELIHOOD_BLOCK = 1 << 15  # draw x observation cells per block; keeps its temporaries in L2
+_QUAD_TOL = 1e-12           # absolute and relative tolerance of the scale-constant quadratures
+_FISHER_QUAD_TOL = 1e-10    # the same for the information quadrature at p = 1
+
+#: The prior: independent N(0, SIGMA_ALPHA^2) cut-points restricted to the
+#: ordered cone, spherical N(0, SIGMA_BETA^2 I) slopes, and g^2 ~ Gamma(A0,
+#: B0) for the working scale of marginal augmentation.
+SIGMA_ALPHA = 10.0
+SIGMA_BETA = 10.0
+A0 = 0.5
+B0 = 0.5
 
 
 class NumericalFailure(RuntimeError):
@@ -56,27 +66,6 @@ class CovariateSpec:
         second = np.full((self.p, self.p), 0.25)
         np.fill_diagonal(second, 1.0 / 3.0)
         return mu, second
-
-
-@dataclasses.dataclass(frozen=True)
-class PriorSpec:
-    """Normal scales for the cut-points and slopes, gamma law for g**2.
-
-    The cut-point prior is independent N(0, sigma_alpha^2) per coordinate
-    restricted to the ordered cone, the slope prior is spherical
-    N(0, sigma_beta^2 I), and the working scale of marginal augmentation has
-    g^2 ~ Gamma(a0, b0).
-    """
-
-    sigma_alpha: float = 10.0
-    sigma_beta: float = 10.0
-    a0: float = 0.5
-    b0: float = 0.5
-
-    def __post_init__(self):
-        for name in ("sigma_alpha", "sigma_beta", "a0", "b0"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
@@ -130,7 +119,6 @@ class Theta:
 class ModelConfig:
     c: int = 2
     covariates: CovariateSpec = CovariateSpec()
-    prior: PriorSpec = PriorSpec()
 
     def __post_init__(self):
         if self.c < 2:
@@ -276,7 +264,7 @@ def _information_terms(cfg: ModelConfig, theta: Theta, x) -> np.ndarray:
 
 
 def fisher_information(cfg: ModelConfig, theta: Theta, mc_size: int = 100_000,
-                       seed: int = 20_240_601, quad_tol: float = 1e-10) -> FisherInformation:
+                       seed: int = 20_240_601) -> FisherInformation:
     """Information matrix I(theta) = E[grad log p grad log p'] over (x, y).
 
     Quadrature over the unit interval when p = 1, Monte Carlo over the cube
@@ -291,10 +279,10 @@ def fisher_information(cfg: ModelConfig, theta: Theta, mc_size: int = 100_000,
     if cfg.p == 1:
         res = integrate.quad_vec(
             lambda t: _information_terms(cfg, theta, [[t]]).reshape(-1),
-            0.0, 1.0, epsabs=quad_tol, epsrel=quad_tol,
+            0.0, 1.0, epsabs=_FISHER_QUAD_TOL, epsrel=_FISHER_QUAD_TOL,
         )
         matrix = res[0].reshape(d, d)
-        detail = {"quad_tol": quad_tol, "quad_error": float(np.max(res[1]))}
+        detail = {"quad_tol": _FISHER_QUAD_TOL, "quad_error": float(np.max(res[1]))}
         method = "quadrature"
     else:
         gen = RngStream(seed, "fisher-mc").generator
@@ -322,7 +310,7 @@ def fisher_information(cfg: ModelConfig, theta: Theta, mc_size: int = 100_000,
     return FisherInformation(matrix=matrix, method=method, detail=detail)
 
 
-def scale_constants(quad_tol: float = 1e-12):
+def scale_constants():
     """Density-weighted scale constants of the probit link.
 
     With dlogphi(z) = -z the log-density derivative,
@@ -338,19 +326,19 @@ def scale_constants(quad_tol: float = 1e-12):
     def l_int(z):
         return -z * (1.0 - z * z) * float(_phi(z))
 
-    K, kerr = integrate.quad(k_int, -np.inf, np.inf, epsabs=quad_tol, epsrel=quad_tol)
-    L, lerr = integrate.quad(l_int, -np.inf, np.inf, epsabs=quad_tol, epsrel=quad_tol)
+    K, kerr = integrate.quad(k_int, -np.inf, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
+    L, lerr = integrate.quad(l_int, -np.inf, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
     if max(kerr, lerr) > 1e-8:
         raise NumericalFailure("scale constant quadrature did not converge")
     return float(K), float(L)
 
 
-def score_second_moment(quad_tol: float = 1e-12) -> float:
+def score_second_moment() -> float:
     """J0 = int (phi'(z)/phi(z))^2 phi(z) dz = 1, the per-draw latent score
     variance."""
     val, err = integrate.quad(
         lambda z: z ** 2 * float(_phi(z)),
-        -np.inf, np.inf, epsabs=quad_tol, epsrel=quad_tol,
+        -np.inf, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,
     )
     if err > 1e-8:
         raise NumericalFailure("latent score quadrature did not converge")
@@ -365,9 +353,8 @@ def log_prior(cfg: ModelConfig, alpha, beta) -> np.ndarray:
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    pr = cfg.prior
-    out = -0.5 * np.sum(alpha * alpha, axis=1) / pr.sigma_alpha ** 2
-    out = out - 0.5 * np.sum(beta * beta, axis=1) / pr.sigma_beta ** 2
+    out = -0.5 * np.sum(alpha * alpha, axis=1) / SIGMA_ALPHA ** 2
+    out = out - 0.5 * np.sum(beta * beta, axis=1) / SIGMA_BETA ** 2
     if alpha.shape[1]:
         ok = np.all(alpha > 0, axis=1) & np.all(np.diff(alpha, axis=1) > 0, axis=1)
         out = np.where(ok, out, -np.inf)
@@ -466,9 +453,9 @@ def prior_theta_draws(cfg: ModelConfig, size: int, rng: RngStream,
         if filled >= size:
             break
         need = size - filled
-        beta = gen.normal(0.0, cfg.prior.sigma_beta, (need, cfg.p))
+        beta = gen.normal(0.0, SIGMA_BETA, (need, cfg.p))
         if k:
-            alpha = np.sort(gen.normal(0.0, cfg.prior.sigma_alpha, (need, k)), axis=1)
+            alpha = np.sort(gen.normal(0.0, SIGMA_ALPHA, (need, k)), axis=1)
             ok = alpha[:, 0] > 0
             alpha, beta = alpha[ok], beta[ok]
         else:

@@ -157,6 +157,13 @@ class TestErrors:
         ["build-reference", "--opt", "scans=2"],
         ["table1", "--opt", "with_risk=true"],
         ["figure", "--scenario", "fig1", "--opt", "pool=1024"],
+        # the true parameters, the figures' starts and the transform are
+        # fixed designs, not plan options
+        ["diagnose", "--n", "20", "--m", "2", "--R", "2",
+         "--opt", "theta0=1.0"],
+        ["figure", "--scenario", "fig1", "--n", "20", "--m", "2",
+         "--opt", "start=1.5"],
+        ["diagnose", "--opt", "transform=theta"],
     ])
     def test_opt_from_another_command(self, tmp_path, capsys, argv):
         code, _, err = _run(capsys, argv + ["--out", str(tmp_path / "o")])
@@ -176,6 +183,27 @@ class TestErrors:
         code, _, err = _run(capsys, ["gen-data", "--config", "/no/such.json"])
         assert code == 2
         assert json.loads(err)["error"]["type"] == "FileNotFoundError"
+
+    def test_failed_cell_exits_1(self, tmp_path, capsys, monkeypatch):
+        """A cell that raises ends the run with exit 1 and a JSON error that
+        names the manifest holding the failure record."""
+        from mcmcdegen import harness
+
+        def broken(*args, **kw):
+            raise ValueError("synthetic cell failure")
+
+        monkeypatch.setattr(harness, "one_step_statistic", broken)
+        code, _, err = _run(capsys, [
+            "diagnose", "--out", str(tmp_path), "--n", "20", "--m", "2",
+            "--R", "2"])
+        assert code == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "RuntimeError"
+        assert "1 of 1 cells failed" in error["message"]
+        assert str(tmp_path / "manifest.json") in error["message"]
+        cell = json.loads((tmp_path / "manifest.json").read_text())[
+            "cells"]["diagnose/binary-null/c2/n20"]
+        assert cell["error"] == "ValueError: synthetic cell failure"
 
     def test_bad_figure_scenario(self, tmp_path, capsys):
         code, _, err = _run(capsys, [

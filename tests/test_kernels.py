@@ -24,6 +24,10 @@ from mcmcdegen.kernels import (
     update_g,
 )
 from mcmcdegen.model import (
+    A0,
+    B0,
+    SIGMA_ALPHA,
+    SIGMA_BETA,
     CovariateSpec,
     Dataset,
     ModelConfig,
@@ -65,20 +69,19 @@ class TestScaleConditional:
         rng = RngStream(17, variant)
         state = _prepared_state(cfg, data, v, theta, 1.3, rng)
         z = state.z[0]
-        pr = cfg.prior
         resid = z if v.parameterization == "null" else z + data.x @ theta.beta
-        shape = pr.a0 + 0.5 * (data.n + cfg.c - 2 + cfg.p)
-        rate = (pr.b0 + 0.5 * np.sum(resid**2)
-                + 0.5 * np.sum(theta.alpha**2) / pr.sigma_alpha**2
-                + 0.5 * np.sum(theta.beta**2) / pr.sigma_beta**2)
+        shape = A0 + 0.5 * (data.n + cfg.c - 2 + cfg.p)
+        rate = (B0 + 0.5 * np.sum(resid**2)
+                + 0.5 * np.sum(theta.alpha**2) / SIGMA_ALPHA**2
+                + 0.5 * np.sum(theta.beta**2) / SIGMA_BETA**2)
         mean, sd = shape / rate, np.sqrt(shape) / rate
         ts = np.linspace(max(mean - 8 * sd, 1e-9), mean + 8 * sd, 4001)
         mu = -(data.x @ theta.beta) if v.parameterization == "beta" else 0.0
         logs = np.array([
             norm.logpdf(z, loc=mu, scale=1 / np.sqrt(t)).sum()
-            + norm.logpdf(theta.alpha, scale=pr.sigma_alpha / np.sqrt(t)).sum()
-            + norm.logpdf(theta.beta, scale=pr.sigma_beta / np.sqrt(t)).sum()
-            + gamma_dist.logpdf(t, a=pr.a0, scale=1 / pr.b0)
+            + norm.logpdf(theta.alpha, scale=SIGMA_ALPHA / np.sqrt(t)).sum()
+            + norm.logpdf(theta.beta, scale=SIGMA_BETA / np.sqrt(t)).sum()
+            + gamma_dist.logpdf(t, a=A0, scale=1 / B0)
             for t in ts])
         dens = np.exp(logs - logs.max())
         dens /= simpson(dens, x=ts)
@@ -104,13 +107,12 @@ class TestScaleConditional:
             z=np.repeat(state.z, B, axis=0),
         )
         update_g(cfg, data, big, v, rng.child("draws"))
-        pr = cfg.prior
         z = state.z[0]
         resid = z if v.parameterization == "null" else z + data.x @ theta.beta
-        shape = pr.a0 + 0.5 * (data.n + cfg.c - 2 + cfg.p)
-        rate = (pr.b0 + 0.5 * np.sum(resid**2)
-                + 0.5 * np.sum(theta.alpha**2) / pr.sigma_alpha**2
-                + 0.5 * np.sum(theta.beta**2) / pr.sigma_beta**2)
+        shape = A0 + 0.5 * (data.n + cfg.c - 2 + cfg.p)
+        rate = (B0 + 0.5 * np.sum(resid**2)
+                + 0.5 * np.sum(theta.alpha**2) / SIGMA_ALPHA**2
+                + 0.5 * np.sum(theta.beta**2) / SIGMA_BETA**2)
         p = ks_2samp(big.g**2, gamma_dist(a=shape, scale=1 / rate).rvs(
             size=B, random_state=np.random.default_rng(1))).pvalue
         assert p > 1e-3
@@ -190,8 +192,7 @@ class TestInitialState:
         s = initial_state(cfg, VariantId.parse("null-ma"), 8, RngStream(15),
                           init="reference-posterior", reference=bank,
                           g_quantiles=q)
-        expected = np.sqrt(gamma_dist.ppf(q, a=cfg.prior.a0,
-                                          scale=1 / cfg.prior.b0))
+        expected = np.sqrt(gamma_dist.ppf(q, a=A0, scale=1 / B0))
         assert np.allclose(s.g, expected)
         with pytest.raises(ValueError):
             initial_state(cfg, VariantId.parse("null-ma"), 8, RngStream(15),
@@ -235,8 +236,9 @@ class TestStateAndTraces:
         data = sample_dataset(cfg, theta, 50, seed=31)
         trace = run_chain(cfg, data, "beta-ma", 10, RngStream(32),
                           init="fixed", theta=theta)
-        path = tmp_path / trace_filename(VariantId.parse("beta-ma"), 50, 0)
-        trace.save(path, rep=0)
+        path = tmp_path / trace_filename(VariantId.parse("beta-ma"), 50)
+        assert path.name == "beta-ma_n50_r0.csv"
+        trace.save(path)
         cols = load_trace(path)
         assert np.array_equal(cols["alpha2"], trace.alpha[:, 0, 0])
         assert np.array_equal(cols["alpha3"], trace.alpha[:, 0, 1])
