@@ -44,8 +44,8 @@ def _parse_opts(pairs) -> dict:
     return out
 
 
-#: The ``--opt`` keys each subcommand reads; the plan scenarios list
-#: theirs in ``harness.SCENARIO_OPTIONS``.
+#: The ``--opt`` keys each subcommand reads; ``harness.make_plan`` checks
+#: the plan scenarios' keys against ``harness.SCENARIO_OPTIONS``.
 _COMMAND_OPTIONS = {
     "gen-data": ("theta0",),
     "run-chain": ("init", "start", "record_every"),
@@ -54,13 +54,8 @@ _COMMAND_OPTIONS = {
 
 
 def _check_opts(opts: dict, command: str) -> dict:
-    """Refuse option keys that the subcommand or plan scenario ``command``
-    does not read."""
-    known = _COMMAND_OPTIONS.get(command) or harness.SCENARIO_OPTIONS[command]
-    unknown = sorted(set(opts) - set(known))
-    if unknown:
-        raise ValueError(f"unknown option {', '.join(map(repr, unknown))} for "
-                         f"{command}; known: {', '.join(known) or 'none'}")
+    """Refuse option keys that the subcommand ``command`` does not read."""
+    harness.check_option_keys(opts, _COMMAND_OPTIONS[command], command)
     return opts
 
 
@@ -190,7 +185,6 @@ def _plan_from_args(args, cfg: dict,
                     scenario: str) -> harness.ExperimentPlan:
     opts = dict(cfg.get("options", {}))
     opts.update(_parse_opts(args.opt))
-    _check_opts(opts, scenario)
     kw = {"master_seed": _setting(args, cfg, "seed"),
           "out_dir": _setting(args, cfg, "out"),
           "m": _setting(args, cfg, "m"),

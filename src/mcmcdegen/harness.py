@@ -77,7 +77,8 @@ _FIGURES = ("fig1", "fig2", "fig3")
 
 _DIAGNOSE_OPTIONS = ("inner", "starts", "bank_size", "pool", "with_risk",
                      "reference_size")
-#: The ``options`` keys each scenario's cells read; ``cli`` refuses others.
+#: The ``options`` keys each scenario's cells read; ``make_plan`` refuses
+#: others.
 SCENARIO_OPTIONS = {
     **{fig: () for fig in _FIGURES},
     "table1": ("datasets", "inner", "starts", "bank_size", "pool"),
@@ -118,14 +119,25 @@ class ExperimentPlan:
         return d
 
 
+def check_option_keys(options: dict, known, owner: str) -> None:
+    """Refuse option keys that ``owner`` (a scenario or a CLI subcommand)
+    does not read, so a misspelt key cannot run with the default."""
+    unknown = sorted(set(options) - set(known))
+    if unknown:
+        raise ValueError(f"unknown option {', '.join(map(repr, unknown))} for "
+                         f"{owner}; known: {', '.join(known) or 'none'}")
+
+
 def make_plan(scenario: str, **kw) -> ExperimentPlan:
     """Build a plan from scenario defaults overlaid with keyword choices."""
     if scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of "
                          f"{', '.join(_DEFAULTS)}")
+    options = dict(kw.get("options") or {})
+    check_option_keys(options, SCENARIO_OPTIONS[scenario], scenario)
     defaults = dict(_DEFAULTS[scenario], scenario=scenario)
     defaults.update({k: v for k, v in kw.items() if v is not None})
-    defaults["options"] = dict(kw.get("options") or {})
+    defaults["options"] = options
     plan = ExperimentPlan(**defaults)
     if scenario == "custom" and not (plan.variants and plan.c_list
                                      and plan.n_list):

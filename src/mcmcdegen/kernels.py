@@ -38,6 +38,13 @@ from .sampling import (
 
 VARIANT_NAMES = ("binary-null", "binary-beta", "null", "beta", "null-ma", "beta-ma")
 
+# The reductions behind ndarray.any/all/max/min, called without the Python
+# wrappers those methods go through; a batch-1 sweep makes a dozen of them.
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+
 
 @dataclasses.dataclass(frozen=True)
 class VariantId:
@@ -88,7 +95,8 @@ class ChainState:
 
     def check_cone(self):
         a = self.alpha
-        if a.shape[1] and ((a <= 0).any() or (a[:, 1:] <= a[:, :-1]).any()):
+        if a.shape[1] and (_any(a <= 0, axis=None)
+                           or _any(a[:, 1:] <= a[:, :-1], axis=None)):
             raise AssertionError("cut-point ordering violated")
 
 
@@ -102,12 +110,15 @@ class _Prepared:
 
 
 def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
+    """The sweeps' constants, cached on ``data`` under ``cfg.c``: with the
+    data fixed they depend on nothing else, and an int key skips hashing
+    the config dataclass on every call."""
     cache = data._kernel_cache
-    prep = cache.get(cfg)
+    prep = cache.get(cfg.c)
     if prep is None:
-        a = data.x.T @ data.x + np.eye(cfg.p) / SIGMA_BETA ** 2
+        a = data.x.T @ data.x + np.eye(data.x.shape[1]) / SIGMA_BETA ** 2
         rows = data.category_rows
-        prep = cache.setdefault(cfg, _Prepared(
+        prep = cache.setdefault(cfg.c, _Prepared(
             below=data.y - 1,
             cut_rows=tuple((rows[j - 1], rows[j]) for j in range(2, cfg.c)),
             chol=cholesky(a, lower=True),
@@ -134,7 +145,7 @@ def draw_latent(cfg: ModelConfig, data: Dataset, state: ChainState,
     if variant.parameterization == "null":
         lo = lo + bx
         hi = hi + bx
-        mean = np.zeros_like(lo)
+        mean = 0.0
     else:
         mean = -bx
     z = _draw_window(mean, (1.0 / state.g)[:, None], lo, hi, rng)
@@ -184,8 +195,8 @@ def _scan_alpha(cfg: ModelConfig, data: Dataset, state: ChainState,
     sd = SIGMA_ALPHA / state.g
     last = cfg.c - 3
     for col, (low_rows, high_rows) in enumerate(_prepared(cfg, data).cut_rows):
-        lo = witness[:, low_rows].max(axis=1, initial=-np.inf)
-        hi = witness[:, high_rows].min(axis=1, initial=np.inf)
+        lo = _max(witness[:, low_rows], axis=1, initial=-np.inf)
+        hi = _min(witness[:, high_rows], axis=1, initial=np.inf)
         if col > 0:
             lo = np.maximum(lo, state.alpha[:, col - 1])
         else:
@@ -213,8 +224,8 @@ def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
     for k in range(cfg.p):
         xk = data.x[:, k]
         rest = bx - state.beta[:, k][:, None] * xk[None, :]
-        lo = ((z - au - rest) / xk[None, :]).max(axis=1)
-        hi = ((z - al - rest) / xk[None, :]).min(axis=1)
+        lo = _max((z - au - rest) / xk[None, :], axis=1)
+        hi = _min((z - al - rest) / xk[None, :], axis=1)
         lo, hi = _ensure_open(lo, hi)
         new = _draw_window(0.0, sd, lo, hi, rng)
         bx = rest + new[:, None] * xk[None, :]
@@ -232,7 +243,7 @@ def _draw_beta_gaussian(cfg: ModelConfig, data: Dataset, state: ChainState,
     """
     L = _prepared(cfg, data).chol
     rhs = -(state.z @ data.x)
-    if not np.isfinite(rhs).all():
+    if not _all(np.isfinite(rhs), axis=None):
         raise ValueError("latent block is not finite")
     mean, info_mean = dpotrs(L, rhs.T, lower=1)
     xi = rng.generator.standard_normal((state.batch, cfg.p))

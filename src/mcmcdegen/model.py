@@ -178,7 +178,7 @@ class Dataset:
     def _kernel_cache(self) -> dict:
         """Values the Gibbs kernels derive once from (cfg, this dataset).
 
-        Keyed by the frozen ModelConfig and filled by ``kernels``; entries
+        Keyed by the number of categories and filled by ``kernels``; entries
         depend only on the key and the data, so writes are idempotent. The
         data arrays must not be mutated once the cache is in use.
         """

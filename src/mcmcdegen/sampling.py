@@ -5,6 +5,11 @@ counter-based Philox generator or an exact sampler built on top of it:
 truncated normals (inverse CDF in the bulk, exponential rejection past 6 sd,
 and an extended-precision rescue) and gamma draws.
 
+A truncated-normal call whose mean, sd and bounds hold one element each (a
+cut-point or slope window of a single chain) draws in Python floats with
+the array path's operations, so it returns the same bits and consumes the
+same uniform without numpy's per-call cost on one-element arrays.
+
 All functions take an explicit :class:`RngStream`; nothing touches global
 random state, so identical stream keys reproduce identical draws bit for bit
 regardless of scheduling.
@@ -164,7 +169,7 @@ def _standard_truncated(a, b, gen):
             u = gen.random(int(pending.sum()))
             q = np.exp(lq_lo) * (1.0 - one_minus_ratio * u)
             z = -ndtri(np.fmax(q, 1e-310))
-            draws[pending] = np.clip(z, lo_p, hi_p)
+            draws[pending] = _clip(z, lo_p, hi_p)
         out[tail] = -draws
 
     result = np.where(flip, -out, out)
@@ -186,7 +191,91 @@ def _bulk_draws(lo, hi, gen):
             "truncation interval mass underflows double precision"
         )
     u = fa + gen.random(lo.size).reshape(lo.shape) * mass
-    return np.clip(ndtri(u), lo, hi)
+    return _clip(ndtri(u), lo, hi)
+
+
+def _clip(x, lo, hi):
+    """``np.clip(x, lo, hi)`` without its Python wrapper, in place.
+
+    ``x`` is a fresh array of the broadcast shape, so it takes the result
+    and a batch of latents allocates no temporaries. On arrays, np.clip
+    equals ``np.minimum(np.maximum(x, lo), hi)``. On 0-d operands np.clip
+    keeps ``x`` where it ties a bound of the other signed zero, and the
+    array loop takes the bound; those calls stay with np.clip.
+    """
+    if x.ndim == 0:
+        return np.clip(x, lo, hi)
+    return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
+
+
+def _clamp(x: float, lo: float, hi: float, ndim: int) -> float:
+    """``_clip`` on floats, for a call of the given broadcast ndim.
+
+    NaN in ``x`` or in a bound propagates. A tie of signed zeros keeps ``x``
+    at ndim 0 and takes the bound otherwise, as np.clip does.
+    """
+    if ndim:
+        if not (x > lo or x != x):
+            x = lo
+        if not (x < hi or x != x):
+            x = hi
+    else:
+        if not (x >= lo or x != x):
+            x = lo
+        if not (x <= hi or x != x):
+            x = hi
+    return x
+
+
+_FLOAT64 = np.dtype(float)
+
+
+def _one_window(mean, sd, lo, hi, gen):
+    """``truncated_normal_vec`` on one bulk window, in Python floats.
+
+    Returns None unless each argument is a float or a one-element float64
+    array, and for a window past TAIL_CUTOFF, which the array path draws;
+    neither case has drawn a uniform. Otherwise it runs the operations of
+    ``_standard_truncated`` and ``_bulk_draws`` in their order: standardise,
+    reflect a window right of zero, the two ``ndtr``, one uniform,
+    ``ndtri``, both clamps, the window check, un-standardise. It raises
+    what the array path raises, before the uniform is drawn, and returns a
+    float64 scalar or array of the array path's type and shape.
+    """
+    ndim = 0
+    args = []
+    for v in (mean, sd, lo, hi):
+        if isinstance(v, float):
+            args.append(v)
+        elif type(v) is np.ndarray and v.size == 1 and v.dtype is _FLOAT64:
+            args.append(v.item())
+            ndim = max(ndim, v.ndim)
+        else:
+            return None
+    mean, sd, lo, hi = args
+    if sd <= 0:
+        raise ValueError("sd must be positive")
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    if not a < b:
+        raise DegenerateIntervalError("empty truncation interval (lo >= hi)")
+    flip = a > 0.0
+    wlo, whi = (-b, -a) if flip else (a, b)
+    if whi <= -TAIL_CUTOFF:
+        return None
+    fa = float(ndtr(wlo))
+    mass = float(ndtr(whi)) - fa
+    if mass < MASS_FLOOR:
+        raise DegenerateIntervalError(
+            "truncation interval mass underflows double precision"
+        )
+    z = _clamp(float(ndtri(fa + gen.random() * mass)), wlo, whi, ndim)
+    if flip:
+        z = -z
+    if not (z >= a and z <= b):
+        raise SamplingError("truncated-normal draw outside its window")
+    x = _clamp(mean + sd * z, lo, hi, ndim)
+    return np.array(x, ndmin=ndim) if ndim else np.float64(x)
 
 
 def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
@@ -194,8 +283,13 @@ def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
 
     All arguments broadcast; the output has the broadcast shape. Used by the
     kernels where a whole latent vector (or a batch of chains) is drawn in
-    one call, which also pins down the randomness consumption order.
+    one call, which also pins down the randomness consumption order. One
+    window (every argument one element) takes ``_one_window``.
     """
+    gen = rng.generator
+    x = _one_window(mean, sd, lo, hi, gen)
+    if x is not None:
+        return x
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     if (sd <= 0).any():
@@ -204,12 +298,11 @@ def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
     hi = np.asarray(hi, dtype=float)
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    z = _standard_truncated(a, b, rng.generator)
+    z = _standard_truncated(a, b, gen)
     x = mean + sd * z
     # Standardizing can round endpoints; clamp back onto the requested
     # interval so membership is exact for downstream hard assertions.
-    x = np.clip(x, lo, hi)
-    return x
+    return _clip(x, lo, hi)
 
 
 def truncated_normal_extended(mean, sd, lo, hi, rng: RngStream):

@@ -10,7 +10,10 @@ import importlib.util
 import json
 from pathlib import Path
 
-from mcmcdegen import harness
+import numpy as np
+
+from mcmcdegen import harness, sampling
+from mcmcdegen.sampling import RngStream
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +46,22 @@ def test_tracer_covers_every_per_layer_metric(tmp_path):
     assert wanted <= set(metrics), sorted(wanted - set(metrics))
     assert metrics["metrics.bl_distance.calls"] > 0
     assert metrics["kernels.kernel_step.calls"] > 0
+
+
+def test_tracer_counts_one_window_calls_and_draws():
+    """The one-window path runs inside ``truncated_normal_vec``, so the
+    traced calls and draws count it like the array path: one window and
+    then 100 windows are 2 calls and 101 draws."""
+    tracer = _tracer_module().Tracer()
+    tracer.install()
+    try:
+        rng = RngStream(3, "tracer")
+        sampling.truncated_normal_vec(0.0, np.ones(1), np.full(1, -1.0),
+                                      np.full(1, 2.0), rng)
+        sampling.truncated_normal_vec(np.zeros(100), 1.0, np.full(100, -1.0),
+                                      np.full(100, 2.0), rng)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.layer_metrics(1)
+    assert metrics["sampling.truncated_normal_vec.calls"] == 2
+    assert metrics["sampling.truncated_normal_vec.draws"] == 101

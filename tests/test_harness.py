@@ -61,6 +61,26 @@ class TestPlans:
         pair = ("binary-null", "binary-beta")
         assert make_plan("fig1", variants=pair).variants == pair
 
+    def test_unknown_option_keys_refused(self, tmp_path):
+        """A misspelt or stale ``options`` key fails in ``make_plan``, with
+        the known keys named, before any cell runs or any file is written:
+        a misspelt bank size used to run with the default bank, and a
+        ``Theta`` value to die in the manifest's ``json.dumps``."""
+        out = tmp_path / "o"
+        with pytest.raises(ValueError, match="unknown option 'bank_sz' for "
+                           "diagnose; known: inner, starts, bank_size"):
+            make_plan("diagnose", out_dir=str(out), n_list=(20,), m=2, R=2,
+                      options={"bank_sz": 64, "pool": 256, "inner": 2,
+                               "starts": 2})
+        with pytest.raises(ValueError, match="unknown option 'theta0'"):
+            make_plan("table1", out_dir=str(out), n_list=(20,), m=2, R=2,
+                      options={"theta0": Theta(alpha=(), beta=(2.0,))})
+        with pytest.raises(ValueError, match="known: none"):
+            make_plan("fig1", out_dir=str(out), options={"pool": 256})
+        assert not out.exists()
+        assert make_plan("diagnose", options={"pool": 256}).options == {
+            "pool": 256}
+
     def test_config_drops_execution_details(self):
         plan = make_plan("fig1", threads=8, out_dir="/tmp/zzz")
         cfg = plan.config_dict()

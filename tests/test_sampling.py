@@ -1,13 +1,19 @@
 """Truncated-normal and stream machinery."""
 
+import itertools
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import log_ndtr, ndtr, ndtri
 from scipy.stats import kstest, norm
 
 from mcmcdegen import sampling
 from mcmcdegen.sampling import (
+    MASS_FLOOR,
+    TAIL_CUTOFF,
     DegenerateIntervalError,
     RngStream,
     SamplingError,
@@ -183,6 +189,233 @@ class TestTruncatedNormal:
             assert lo <= val <= hi
         else:
             assert np.all((draws >= lo) & (draws <= hi))
+
+
+def _oracle_standard_truncated(a, b, gen):
+    """The array path's standard draws as they were before the one-window
+    path: inverse CDF in the bulk, exponential rejection past TAIL_CUTOFF,
+    log-space inversion for slivers, clamps by ``np.clip``."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if a.shape != b.shape:
+        a, b = np.broadcast_arrays(a, b)
+    if a.size == 0:
+        return np.empty(a.shape)
+    if not (a < b).all():
+        raise DegenerateIntervalError("empty truncation interval (lo >= hi)")
+    flip = a > 0.0
+    lo = np.where(flip, -b, a)
+    hi = np.where(flip, -a, b)
+    tail = hi <= -TAIL_CUTOFF
+    if not tail.any():
+        out = _oracle_bulk_draws(lo, hi, gen)
+    else:
+        out = np.empty(a.shape)
+        bulk = ~tail
+        if bulk.any():
+            out[bulk] = _oracle_bulk_draws(lo[bulk], hi[bulk], gen)
+        tlo = -hi[tail]
+        thi = -lo[tail]
+        mass = ndtr(-tlo) - ndtr(-thi)
+        if (mass < MASS_FLOOR).any():
+            raise DegenerateIntervalError(
+                "truncation interval mass underflows double precision")
+        draws = np.empty(tlo.shape)
+        pending = np.ones(tlo.shape, dtype=bool)
+        alpha = 0.5 * (tlo + np.sqrt(tlo * tlo + 4.0))
+        for _ in range(64):
+            k = int(pending.sum())
+            if k == 0:
+                break
+            lo_p = tlo[pending]
+            al_p = alpha[pending]
+            z = lo_p - np.log(gen.random(k)) / al_p
+            accept = gen.random(k) <= np.exp(-0.5 * (z - al_p) ** 2)
+            accept &= z <= thi[pending]
+            idx = np.flatnonzero(pending)[accept]
+            draws[idx] = z[accept]
+            remaining = pending.copy()
+            remaining[idx] = False
+            pending = remaining
+        if pending.any():
+            lo_p = tlo[pending]
+            hi_p = thi[pending]
+            lq_lo = log_ndtr(-lo_p)
+            lq_hi = log_ndtr(-hi_p)
+            one_minus_ratio = -np.expm1(lq_hi - lq_lo)
+            u = gen.random(int(pending.sum()))
+            q = np.exp(lq_lo) * (1.0 - one_minus_ratio * u)
+            z = -ndtri(np.fmax(q, 1e-310))
+            draws[pending] = np.clip(z, lo_p, hi_p)
+        out[tail] = -draws
+    result = np.where(flip, -out, out)
+    if not ((result >= a) & (result <= b)).all():
+        raise SamplingError("truncated-normal draw outside its window")
+    return result
+
+
+def _oracle_bulk_draws(lo, hi, gen):
+    fa = ndtr(lo)
+    mass = ndtr(hi) - fa
+    if (mass < MASS_FLOOR).any():
+        raise DegenerateIntervalError(
+            "truncation interval mass underflows double precision")
+    u = fa + gen.random(lo.size).reshape(lo.shape) * mass
+    return np.clip(ndtri(u), lo, hi)
+
+
+def _oracle_truncated_normal_vec(mean, sd, lo, hi, rng):
+    """``truncated_normal_vec`` before the one-window path: every call on
+    numpy arrays. Kept as the bitwise reference."""
+    mean = np.asarray(mean, dtype=float)
+    sd = np.asarray(sd, dtype=float)
+    if (sd <= 0).any():
+        raise ValueError("sd must be positive")
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    a = (lo - mean) / sd
+    b = (hi - mean) / sd
+    z = _oracle_standard_truncated(a, b, rng.generator)
+    x = mean + sd * z
+    return np.clip(x, lo, hi)
+
+
+def _stream_state(rng):
+    return json.dumps(rng.generator.bit_generator.state, sort_keys=True,
+                      default=lambda v: np.asarray(v).tolist())
+
+
+# How one argument of a one-window call is passed.
+_FORMS = {
+    "float": float,
+    "float64": np.float64,
+    "0-d": lambda v: np.array(v),
+    "(1,)": lambda v: np.array([v]),
+    "(1, 1)": lambda v: np.array([[v]]),
+}
+
+
+@st.composite
+def _one_windows(draw):
+    """(mean, sd, lo, hi) of one window, of every kind the sweeps and the
+    rescue can pass: finite, half-infinite, reflected (a > 0), ends at
+    +-0.0, past TAIL_CUTOFF, shut, without double mass, a few ulps wide
+    (where un-standardising can round past an end), and arbitrary."""
+    mean = draw(st.one_of(st.floats(-5, 5), st.sampled_from([0.0, -0.0])))
+    sd = draw(st.floats(0.05, 4))
+    kind = draw(st.sampled_from(
+        ["finite", "lower-open", "upper-open", "reflected", "signed-zero",
+         "tail", "shut", "underflow", "ulps", "any"]))
+    a = draw(st.floats(-5.9, 5.9))
+    width = draw(st.floats(1e-9, 8))
+    if kind == "finite":
+        a, b = a, a + width
+    elif kind == "lower-open":
+        a, b = -np.inf, a
+    elif kind == "upper-open":
+        a, b = a, np.inf
+    elif kind == "reflected":
+        a = abs(a) + 1e-3
+        b = draw(st.sampled_from([a + width, np.inf]))
+    elif kind == "tail":
+        a = TAIL_CUTOFF + draw(st.floats(0, 30))
+        b = draw(st.sampled_from([a + width, a + 1e-6, np.inf]))
+        if draw(st.booleans()):
+            a, b = -b, -a
+    if kind in ("finite", "lower-open", "upper-open", "reflected", "tail"):
+        return mean, sd, mean + sd * a, mean + sd * b
+    if kind == "signed-zero":
+        ends = draw(st.sampled_from([(0.0, 1.0), (-0.0, 1.0), (-1.0, 0.0),
+                                     (-1.0, -0.0), (-0.0, 0.0), (0.0, np.inf),
+                                     (-np.inf, -0.0), (-0.0, np.inf)]))
+        return draw(st.sampled_from([0.0, -0.0, mean])), sd, *ends
+    if kind == "shut":
+        lo = mean + sd * a
+        return mean, sd, lo, draw(st.sampled_from([lo, lo - width, -np.inf]))
+    if kind == "ulps":
+        lo = mean + sd * a
+        return mean, sd, lo, lo + draw(st.integers(1, 8)) * np.spacing(lo)
+    if kind == "underflow":
+        lo = mean + sd * draw(st.sampled_from([a, 40.0, -40.0, 1e3]))
+        return mean, sd, lo, np.nextafter(lo, np.inf)
+    anything = st.floats(allow_nan=True, allow_infinity=True)
+    return (draw(anything),
+            draw(st.one_of(st.floats(0.05, 4),
+                           st.sampled_from([0.0, -1.0, np.nan, np.inf]))),
+            draw(anything), draw(anything))
+
+
+class TestOneWindow:
+    """One window takes the Python-float path, which must return the
+    oracle's bits, type and shape and leave the stream where it does."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(window=_one_windows(),
+           forms=st.one_of(
+               st.sampled_from([("float",) * 4, ("(1,)",) * 4,
+                                ("(1, 1)",) * 4]),
+               st.tuples(*[st.sampled_from(sorted(_FORMS))] * 4)),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_oracle(self, window, forms, seed):
+        args = [_FORMS[f](v) for f, v in zip(forms, window)]
+        fresh = _stream_state(RngStream(seed, "one"))
+        results = []
+        for draw in (truncated_normal_vec, _oracle_truncated_normal_vec):
+            rng = RngStream(seed, "one")
+            with np.errstate(all="ignore"):
+                try:
+                    out = draw(*args, rng)
+                except (ValueError, RuntimeError) as exc:
+                    results.append((type(exc), _stream_state(rng)))
+                    continue
+            results.append((type(out), np.shape(out),
+                            np.asarray(out).tobytes(), _stream_state(rng)))
+        got, want = results
+        assert got == want, (window, forms)
+        if len(got) == 2:      # a raising call drew no uniform
+            assert got[1] == fresh
+
+    def test_bulk_window_skips_the_array_path(self, monkeypatch):
+        """The path is chosen by input size alone; a tail window still goes
+        to the array path."""
+        def array_path(a, b, gen):
+            raise AssertionError("array path taken")
+        monkeypatch.setattr(sampling, "_standard_truncated", array_path)
+        truncated_normal_vec(0.0, np.ones(1), np.full(1, -1.0),
+                             np.full(1, 2.0), RngStream(15))
+        with pytest.raises(AssertionError, match="array path"):
+            truncated_normal_vec(0.0, 1.0, 7.0, 8.0, RngStream(15))
+        with pytest.raises(AssertionError, match="array path"):
+            truncated_normal_vec(0.0, 1.0, np.full(2, -1.0), 2.0,
+                                 RngStream(15))
+
+
+_CLAMP_VALUES = (-0.0, 0.0, -np.inf, np.inf, np.nan, 1.0, -1.0)
+_TRIPLES = list(itertools.product(_CLAMP_VALUES, repeat=3))
+
+
+def test_clamps_equal_np_clip_on_every_triple():
+    """``_clip`` (the array path) and ``_clamp`` (the one-window path) equal
+    np.clip byte for byte on every triple of signed zeros, infinities, NaN
+    and +-1: on 0-d operands and on arrays, whose loops order a tie of
+    signed zeros differently."""
+    def bits(v):
+        return np.asarray(v, dtype=float).tobytes()
+
+    x, lo, hi = (np.array(col) for col in zip(*_TRIPLES))
+    assert bits(sampling._clip(x, lo, hi)) == bits(np.clip(x, lo, hi))
+    wrong = []
+    for t in _TRIPLES:
+        zero_d = [np.array(v) for v in t]
+        one = [np.array([v]) for v in t]
+        want0, want1 = np.clip(*zero_d), np.clip(*one)
+        if not (bits(sampling._clamp(*t, 0)) == bits(want0)
+                == bits(sampling._clip(*zero_d))):
+            wrong.append(("0-d", t))
+        if not (bits(sampling._clamp(*t, 1)) == bits(sampling._clamp(*t, 2))
+                == bits(want1) == bits(sampling._clip(*one))):
+            wrong.append(("(1,)", t))
+    assert not wrong, wrong
 
 
 class TestGammaDraw:
