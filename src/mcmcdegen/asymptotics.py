@@ -127,7 +127,7 @@ def build_reference(cfg: ModelConfig, data: Dataset, seed: int,
             init="fixed", theta=mode, batch=1, record_every=thin,
         )
         keep = trace.steps > burn
-        sample = trace.theta()[keep, 0, :]
+        sample = trace.transform("theta")[keep, 0, :]
         pmin = _split_half_ks(sample)
         if pmin >= 1e-3:
             break

@@ -370,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             if name in ("seed", "out"):
                 continue
-            kind = int if name in ("m", "R", "c", "p", "threads") else str
+            # --n and --c are comma lists on the plan commands
+            kind = int if name in ("m", "R", "p", "threads") else str
             sp.add_argument(f"--{name}", type=kind)
 
     sp = sub.add_parser("gen-data", help="sample a dataset to CSV")

@@ -2,13 +2,13 @@
 
 A plan names a scenario and pins every knob that affects the numbers,
 plus a master seed; ``make_plan`` overlays the caller's choices on the
-scenario's default grid. The figures (fig1, fig2, fig3) run one recorded
-chain per (variant, n); the grid scenarios (table1, diagnose, custom) run
-one cell per (variant, c, n), each on its own seed stream, and differ only
-in the statistics a cell computes and in the summary built from them. The
-true parameters and the figures' displaced starts are fixed designs
-(``DEFAULT_THETA0``, ``ORDINAL_TRACE_START``); ``SCENARIO_OPTIONS`` lists
-the few estimator settings a plan may carry.
+scenario's default grid. Every scenario runs one cell per (variant, c, n)
+and differs only in what a cell computes (a recorded chain for the
+figures, statistics for table1, diagnose and custom) and in the summary
+built from the cells (``_GRID_JOBS``). The true parameters and the
+figures' displaced starts are fixed designs (``DEFAULT_THETA0``,
+``ORDINAL_TRACE_START``); ``SCENARIO_OPTIONS`` lists the few estimator
+settings a plan may carry.
 
 Each cell runs on a thread pool and writes its own files, whose names and
 bytes depend only on the cell. A manifest records the resolved
@@ -143,6 +143,9 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
                                      and plan.n_list):
         raise ValueError("scenario 'custom' carries no defaults; pass "
                          "variants, c_list and n_list explicitly")
+    if scenario in _FIGURES and len(plan.c_list) != 1:
+        raise ValueError(f"scenario {scenario!r} draws one number of "
+                         f"categories; got c_list={tuple(plan.c_list)}")
     if scenario in _FIGURES and (tuple(plan.variants)
                                  != _DEFAULTS[scenario]["variants"]):
         raise ValueError(
@@ -224,39 +227,12 @@ class RunManifest:
 
 
 # --------------------------------------------------------------------------
-# cell builders: each returns (key, task) pairs where task() -> payload;
-# _cell_files writes the payload, _read_cell reads it back for a reducer.
+# cells: _grid_cells pairs each key with a task() -> payload, built from
+# a scenario's cell body; _cell_files writes the payload, _read_cell reads
+# it back for the scenario's reducer.
 
 def _model(plan: ExperimentPlan, c: int) -> ModelConfig:
     return ModelConfig(c=c, covariates=CovariateSpec(p=plan.p))
-
-
-def _trace_cells(plan: ExperimentPlan):
-    """One cell per (variant, n): a single recorded chain on a shared
-    dataset, started from a common displaced point."""
-    cells = []
-    c = plan.c_list[0]
-    cfg = _model(plan, c)
-    theta0 = default_theta0(c, plan.p)
-    start = (Theta(alpha=(), beta=(1.5,) * plan.p) if c == 2
-             else ORDINAL_TRACE_START)
-    for n in plan.n_list:
-        for name in plan.variants:
-            variant = VariantId.parse(name)
-            key = f"{plan.scenario}/{name}/n{n}"
-
-            def task(variant=variant, n=n):
-                root = RngStream(plan.master_seed, plan.scenario)
-                data = sample_dataset(
-                    cfg, theta0, n, seed=root.child("data", n).seed_int())
-                trace = run_chain(
-                    cfg, data, variant, plan.m,
-                    root.child("chain", variant.name, n),
-                    init="fixed", theta=start, batch=1)
-                return {"trace": trace, "n": n}
-
-            cells.append((key, task))
-    return cells
 
 
 def _grid_cells(plan: ExperimentPlan, body):
@@ -276,6 +252,19 @@ def _grid_cells(plan: ExperimentPlan, body):
                               functools.partial(body, plan, variant, cfg,
                                                 theta0, n, transform, seed)))
     return cells
+
+
+def _trace_cell(plan, variant, cfg, theta0, n, transform, seed):
+    """A figure's cell: one recorded chain from a displaced fixed start, on
+    the dataset every variant of the figure shares at this n (so the
+    figure's streams, not the cell's ``seed``)."""
+    root = RngStream(plan.master_seed, plan.scenario)
+    data = sample_dataset(cfg, theta0, n, seed=root.child("data", n).seed_int())
+    start = (Theta(alpha=(), beta=(1.5,) * plan.p) if cfg.c == 2
+             else ORDINAL_TRACE_START)
+    return {"trace": run_chain(cfg, data, variant, plan.m,
+                               root.child("chain", variant.name, n),
+                               theta=start), "n": n}
 
 
 def _table1_cell(plan, variant, cfg, theta0, n, transform, seed):
@@ -342,9 +331,10 @@ def _read_cell(plan: ExperimentPlan, key: str, files: list[str],
             for f in files}
 
 
-def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
-                theta0: Theta) -> list[str]:
-    """Render trajectory panels from recorded chains.
+def emit_figure(plan: ExperimentPlan, traces: dict,
+                out_dir: Path) -> list[str]:
+    """Render trajectory panels from recorded chains into
+    ``{scenario}.svg``.
 
     ``traces`` maps cell keys to the columns ``load_trace`` reads; the
     plan's variants are the figure's pair, the first drawn solid. fig1:
@@ -354,12 +344,14 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
     identified trajectory). fig3: one panel, the ratio of the third to the
     second cut.
     """
+    c = plan.c_list[0]
+    theta0 = default_theta0(c, plan.p)
     panels = []
     if plan.scenario == "fig1":
         for n in plan.n_list:
             series = []
             for name, dash in zip(plan.variants, (False, True)):
-                slope = traces[f"fig1/{name}/n{n}"]["beta1"]
+                slope = traces[f"fig1/{name}/c{c}/n{n}"]["beta1"]
                 series.append(svg.Series(
                     name=name, x=np.arange(slope.size, dtype=float),
                     y=slope, dashed=dash))
@@ -368,7 +360,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 hline=theta0.beta[0], ylabel="slope"))
     elif plan.scenario == "fig2":
         n = plan.n_list[0]
-        raw, ma = (traces[f"fig2/{v}/n{n}"] for v in plan.variants)
+        raw, ma = (traces[f"fig2/{v}/c{c}/n{n}"] for v in plan.variants)
         labels = [("second cut", "alpha2", theta0.alpha[0]),
                   ("third cut", "alpha3", theta0.alpha[1]),
                   ("slope", "beta1", theta0.beta[0])]
@@ -383,7 +375,7 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
                 hline=truth, ylabel=title))
     elif plan.scenario == "fig3":
         n = plan.n_list[0]
-        raw, ma = (traces[f"fig3/{v}/n{n}"] for v in plan.variants)
+        raw, ma = (traces[f"fig3/{v}/c{c}/n{n}"] for v in plan.variants)
         x = np.arange(raw["step"].size, dtype=float)
         panels.append(svg.Panel(
             title=f"cut-ratio trajectory, n={n}",
@@ -394,8 +386,8 @@ def emit_figure(plan: ExperimentPlan, traces: dict, path: Path,
             hline=theta0.alpha[1] / theta0.alpha[0], ylabel="third/second cut"))
     else:
         raise ValueError(f"scenario {plan.scenario!r} has no figure")
-    svg.line_plot(panels, path)
-    return [path.name]
+    svg.line_plot(panels, out_dir / f"{plan.scenario}.svg")
+    return [f"{plan.scenario}.svg"]
 
 
 def _reduce_table1(plan: ExperimentPlan, reports: dict,
@@ -435,8 +427,9 @@ def _reduce_diagnose(plan: ExperimentPlan, stats: dict,
     return ["diagnostics.csv"]
 
 
-#: Each grid scenario's cell body and the reducer that builds its summary.
-_GRID_JOBS = {"table1": (_table1_cell, _reduce_table1),
+#: Each scenario's cell body and the reducer that builds its summary.
+_GRID_JOBS = {**{fig: (_trace_cell, emit_figure) for fig in _FIGURES},
+              "table1": (_table1_cell, _reduce_table1),
               "diagnose": (_diagnose_cell, _reduce_diagnose),
               "custom": (_diagnose_cell, _reduce_diagnose)}
 
@@ -472,11 +465,8 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
         if old and old.config == manifest.config:
             manifest = old
 
-    if plan.scenario in _FIGURES:
-        cells, summary = _trace_cells(plan), f"{plan.scenario}/figure"
-    else:
-        body, reduce_cells = _GRID_JOBS[plan.scenario]
-        cells, summary = _grid_cells(plan, body), f"{plan.scenario}/summary"
+    body, reduce_cells = _GRID_JOBS[plan.scenario]
+    cells, summary = _grid_cells(plan, body), f"{plan.scenario}/summary"
 
     pending = [(k, t) for k, t in cells
                if not manifest.cell_done(k, out_dir)]
@@ -519,11 +509,7 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
     if pending or not manifest.cell_done(summary, out_dir):
         found = {key: _read_cell(plan, key, manifest.cells[key]["files"],
                                  out_dir) for key, _ in cells}
-        if plan.scenario in _FIGURES:
-            files = emit_figure(plan, found, out_dir / f"{plan.scenario}.svg",
-                                default_theta0(plan.c_list[0], plan.p))
-        else:
-            files = reduce_cells(plan, found, out_dir)
+        files = reduce_cells(plan, found, out_dir)
         manifest.record(summary, out_dir, files=files)
         manifest.save(mpath)
     return manifest

@@ -12,7 +12,9 @@ Each comes with and without marginal augmentation by a working scale g whose
 square is Gamma(A0, B0) a priori; without augmentation g stays fixed at 1.
 All updates operate on a batch of chains at once (leading axis B) so that a
 whole replicate set advances under one RNG stream, making results
-independent of how work is scheduled across threads.
+independent of how work is scheduled across threads. ``run_chain`` is the
+one driver of a batch; ``apply_transform`` evaluates the named functionals
+of the state (raw, identified, cut points, cut ratios) on its records.
 """
 
 from __future__ import annotations
@@ -310,6 +312,31 @@ def kernel_step(cfg: ModelConfig, data: Dataset, state: ChainState,
     return state
 
 
+TRANSFORMS = ("theta", "g-theta", "alpha", "alpha-ratio")
+
+
+def apply_transform(alpha, beta, g, name: str) -> np.ndarray:
+    """Evaluate a named functional of the state on (..., dim) blocks, with
+    ``g`` shaped like their leading axes.
+
+    ``theta`` is the raw parameter, ``g-theta`` the identified rescaling,
+    ``alpha`` the cut-point block, and ``alpha-ratio`` the consecutive
+    cut-point ratios (needs c >= 4).
+    """
+    if name in ("theta", "g-theta"):
+        theta = np.concatenate([alpha, beta], axis=-1)
+        return theta if name == "theta" else g[..., None] * theta
+    if name == "alpha":
+        if not alpha.shape[-1]:
+            raise ValueError("alpha transform needs c >= 3")
+        return alpha.copy()
+    if name == "alpha-ratio":
+        if alpha.shape[-1] < 2:
+            raise ValueError("alpha-ratio transform needs c >= 4")
+        return alpha[..., 1:] / alpha[..., :-1]
+    raise ValueError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
+
+
 def transform_names(variant: VariantId, c: int, p: int) -> list[str]:
     names = []
     if variant.augmented:
@@ -323,13 +350,11 @@ def transform_names(variant: VariantId, c: int, p: int) -> list[str]:
 def transform_values(alpha: np.ndarray, beta: np.ndarray, g: np.ndarray,
                      variant: VariantId, c: int, p: int) -> np.ndarray:
     """Derived trace columns matching transform_names; inputs (..., dim)."""
-    cols = []
+    cols = [np.empty(alpha.shape[:-1] + (0,))]
     if variant.augmented:
-        cols += [g[..., None] * alpha, g[..., None] * beta]
+        cols.append(apply_transform(alpha, beta, g, "g-theta"))
     if c >= 4:
-        cols += [alpha[..., 1:] / alpha[..., :-1]]
-    if not cols:
-        return np.empty(alpha.shape[:-1] + (0,))
+        cols.append(apply_transform(alpha, beta, g, "alpha-ratio"))
     return np.concatenate(cols, axis=-1)
 
 
@@ -349,8 +374,9 @@ class ChainTrace:
     def batch(self) -> int:
         return self.g.shape[1]
 
-    def theta(self) -> np.ndarray:
-        return np.concatenate([self.alpha, self.beta], axis=-1)
+    def transform(self, name: str) -> np.ndarray:
+        """A named transform of every recorded state: (records, B, dim)."""
+        return apply_transform(self.alpha, self.beta, self.g, name)
 
     def header(self) -> list[str]:
         cols = (

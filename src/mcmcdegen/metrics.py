@@ -17,6 +17,9 @@ Three estimators live here:
 * ``one_step_statistic``: mean localized one-step motion of a transform of
   the state along a stationarity-started chain; its decay in n is what
   separates degenerate from locally consistent kernels.
+
+Each steps its chains through ``kernels.run_chain`` and evaluates the
+transform once on the recorded states.
 """
 
 from __future__ import annotations
@@ -29,41 +32,9 @@ from pathlib import Path
 import numpy as np
 from scipy import optimize, spatial
 
-from .kernels import ChainState, VariantId, initial_state, kernel_step
+from .kernels import VariantId, initial_state, run_chain
 from .model import ModelConfig, Theta, sample_dataset
 from .sampling import RngStream
-
-TRANSFORMS = ("theta", "g-theta", "alpha", "alpha-ratio")
-
-
-def apply_transform(alpha, beta, g, name: str) -> np.ndarray:
-    """Evaluate a named functional of the state on (B, .) blocks.
-
-    ``theta`` is the raw parameter, ``g-theta`` the identified rescaling,
-    ``alpha`` the cut-point block, and ``alpha-ratio`` the consecutive
-    cut-point ratios (needs c >= 4).
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    g = np.atleast_1d(np.asarray(g, dtype=float))
-    if name == "theta":
-        return np.concatenate([alpha, beta], axis=1)
-    if name == "g-theta":
-        return g[:, None] * np.concatenate([alpha, beta], axis=1)
-    if name == "alpha":
-        if not alpha.shape[1]:
-            raise ValueError("alpha transform needs c >= 3")
-        return alpha.copy()
-    if name == "alpha-ratio":
-        if alpha.shape[1] < 2:
-            raise ValueError("alpha-ratio transform needs c >= 4")
-        return alpha[:, 1:] / alpha[:, :-1]
-    raise ValueError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
-
-
-def transform_state(state: ChainState, name: str) -> np.ndarray:
-    return apply_transform(state.alpha, state.beta, state.g, name)
-
 
 def table1_transform(variant: VariantId | str, c: int) -> str:
     """The transform whose one-step motion witnesses each classification cell.
@@ -271,26 +242,20 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
         variant = VariantId.parse(variant)
     if m < 2:
         raise ValueError("need m >= 2")
+    if start not in ("fixed", "reference-posterior"):
+        raise ValueError(f"unknown start policy {start!r}; expected 'fixed' "
+                         "or 'reference-posterior'")
     root = RngStream(master_seed, "rprime", variant.name, n, m)
     raw, loc = [], []
     for r in range(R):
         rep = root.child("rep", r)
         data = sample_dataset(cfg, theta0, n, seed=rep.child("data").seed_int())
-        if start == "fixed":
-            state = initial_state(cfg, variant, 1, rep, init="fixed",
-                                  theta=theta_start or theta0)
-        elif start == "reference-posterior":
-            bank = _stationary_bank(cfg, data, bank_size, rep.child("bank"))
-            state = initial_state(cfg, variant, 1, rep, init="reference-posterior",
-                                  reference=bank)
-        else:
-            raise ValueError(f"unknown start policy {start!r}")
-        chain = rep.child("chain")
-        series = np.empty((m + 1, transform_state(state, transform).shape[1]))
-        series[0] = transform_state(state, transform)[0]
-        for t in range(1, m + 1):
-            kernel_step(cfg, data, state, variant, chain)
-            series[t] = transform_state(state, transform)[0]
+        bank = (_stationary_bank(cfg, data, bank_size, rep.child("bank"))
+                if start == "reference-posterior" else None)
+        state = initial_state(cfg, variant, 1, rep, init=start,
+                              theta=theta_start or theta0, reference=bank)
+        series = run_chain(cfg, data, variant, m, rep.child("chain"),
+                           state=state).transform(transform)[:, 0]
         raw.append(wprime_from_series(series, 1.0))
         loc.append(wprime_from_series(series, math.sqrt(n)))
     return DiagnosticsReport(
@@ -303,13 +268,12 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
 
 def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
                R: int, reference_size: int, master_seed: int, *,
-               theta0: Theta, init: str = "fixed",
-               theta_start: Theta | None = None,
+               theta0: Theta,
                transform: str = "theta") -> DiagnosticsReport:
     """Distance between the chain's m-step empirical measure and the posterior.
 
     Per replication: fresh dataset, a reference posterior sample, one chain
-    of m steps from the configured start; the bounded-Lipschitz distance is
+    of m steps started at ``theta0``; the bounded-Lipschitz distance is
     taken between the chain's empirical measure (states 1..m) and m
     distinct reference rows (an exact assignment, solver and support in the
     metadata), on the sqrt(n)-localized scale (and unlocalized, for
@@ -327,16 +291,8 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
         rep = root.child("rep", r)
         data = sample_dataset(cfg, theta0, n, seed=rep.child("data").seed_int())
         bank = _stationary_bank(cfg, data, reference_size, rep.child("bank"))
-        state = initial_state(
-            cfg, variant, 1, rep, init=init,
-            theta=theta_start or theta0,
-            reference=bank if init == "reference-posterior" else None,
-        )
-        chain = rep.child("chain")
-        series = np.empty((m, transform_state(state, transform).shape[1]))
-        for t in range(m):
-            kernel_step(cfg, data, state, variant, chain)
-            series[t] = transform_state(state, transform)[0]
+        series = run_chain(cfg, data, variant, m, rep.child("chain"),
+                           theta=theta0).transform(transform)[1:, 0]
         pick = rep.child("ref-pick").generator
         ref_pts = bank[pick.permutation(bank.shape[0])[:m]]
         raw.append(bl_distance(series, ref_pts, scale=1.0))
@@ -346,7 +302,7 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
     return DiagnosticsReport(
         variant=variant.name, n=n, m=m, replications=R,
         estimates={"R": _mean_se(raw), "R_localized": _mean_se(loc)},
-        metadata={"init": init, "transform": transform,
+        metadata={"init": "fixed", "transform": transform,
                   "master_seed": master_seed,
                   "theta_hat": np.asarray(centers),
                   "reference_size": reference_size, **how},
@@ -380,13 +336,9 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
     if datasets is None:
         datasets = max(2, min(8, math.ceil(R / 16)))
     per = math.ceil(R / datasets)
+    if coords is not None:
+        coords = list(np.atleast_1d(coords))
     root = RngStream(master_seed, "one-step", variant.name, n, transform)
-    scale = math.sqrt(n)
-
-    def functional(state):
-        out = transform_state(state, transform)
-        return out if coords is None else out[:, list(np.atleast_1d(coords))]
-
     values, labels = [], []
     unit = 0
     for d in range(datasets):
@@ -403,23 +355,19 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
         state = initial_state(cfg, variant, b * starts, rep,
                               init="reference-posterior", reference=bank,
                               g_quantiles=quantiles)
-        chain = rep.child("chain")
-        prev = functional(state)
-        motions = np.zeros((inner, b * starts))
-        for t in range(inner):
-            kernel_step(cfg, data, state, variant, chain)
-            cur = functional(state)
-            motions[t] = ground_metric(cur, prev, scale)
-            prev = cur
+        f = run_chain(cfg, data, variant, inner, rep.child("chain"),
+                      state=state).transform(transform)
+        if coords is not None:
+            f = f[..., coords]
+        motions = ground_metric(f[1:], f[:-1], math.sqrt(n))
         values.extend(motions.reshape(inner, b, starts).mean(axis=(0, 2)))
         labels.extend([d] * b)
         unit += b
     return DiagnosticsReport(
         variant=variant.name, n=n, m=inner, replications=len(values),
         estimates={"D": _cluster_se(values, labels)},
-        metadata={"transform": transform, "coords": None if coords is None
-                  else list(np.atleast_1d(coords)), "datasets": datasets,
-                  "starts": starts, "bank_size": bank_size, "pool": pool,
+        metadata={"transform": transform, "coords": coords,
+                  "datasets": datasets, "starts": starts, "bank_size": bank_size, "pool": pool,
                   "master_seed": master_seed},
     )
 

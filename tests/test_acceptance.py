@@ -27,6 +27,9 @@ from test_metrics import lag1_autocorr
 
 MASTER = 20_240_817
 
+# ``pytest -m "not acceptance"`` runs the rest of the suite in under a minute.
+pytestmark = pytest.mark.acceptance
+
 
 def _announce(capsys, num, ok, detail):
     with capsys.disabled():

@@ -244,6 +244,18 @@ class TestHarnessCommands:
         assert lines[0] == "variant,c,n,D,se,label"
         assert len([l for l in lines if l.startswith("beta,2,")]) == 3
 
+    def test_c_takes_a_list(self, tmp_path, capsys):
+        """``--c`` takes a comma list on the plan commands, as ``--n`` does
+        and as ``c`` does in a config file."""
+        code, stdout, err = _run(capsys, [
+            "diagnose", "--out", str(tmp_path), "--variant", "beta",
+            "--c", "2,3", "--n", "40", "--m", "3", "--R", "2",
+            "--opt", "inner=2", "--opt", "starts=2",
+            "--opt", "bank_size=64", "--opt", "pool=512"])
+        assert code == 0, err
+        rows = stdout.splitlines()[1:-1]
+        assert {row.split(",")[1] for row in rows} == {"2", "3"}
+
     def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("MCMCDEGEN_THREADS", "2")
         code, _, _ = _run(capsys, [

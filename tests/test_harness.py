@@ -51,6 +51,15 @@ class TestPlans:
             with pytest.raises(ValueError, match="c >= 4"):
                 make_plan(scenario, c_list=(3,))
 
+    def test_figures_draw_one_c(self):
+        """A figure plots one number of categories; a second c would be
+        recorded in the manifest but never drawn."""
+        for scenario, c_list in (("fig1", (2, 3)), ("fig2", (4, 5)),
+                                 ("fig3", ())):
+            with pytest.raises(ValueError, match="one number of categories"):
+                make_plan(scenario, c_list=c_list)
+        assert make_plan("fig2", c_list=(5,)).c_list == (5,)
+
     def test_figure_variants_are_fixed(self):
         """A figure draws one fixed pair of kernels; any other variants are
         refused before a single chain runs."""
@@ -183,7 +192,7 @@ class TestResume:
             assert (tmp_path / name).stat().st_mtime_ns == stamp[name]
         # per-cell timings recorded on the first pass survive the resume
         assert all("seconds" in c for k, c in m2.cells.items()
-                   if not k.endswith("figure"))
+                   if not k.endswith("summary"))
 
     # A deleted cell file is recomputed; a deleted summary is rebuilt.
     @pytest.mark.parametrize("scenario, victim", [

@@ -8,9 +8,9 @@ from scipy import optimize, sparse, spatial
 from scipy.integrate import quad
 from scipy.stats import norm, wasserstein_distance
 
+from mcmcdegen.kernels import apply_transform
 from mcmcdegen.metrics import (
     DiagnosticsReport,
-    apply_transform,
     bl_distance,
     central_value,
     classify_table1,
@@ -87,6 +87,20 @@ class TestTransforms:
             apply_transform(np.array([[1.0]]), beta, g, "alpha-ratio")
         with pytest.raises(ValueError):
             apply_transform(empty, beta, g, "huh")
+
+    @pytest.mark.parametrize("name", ["theta", "g-theta", "alpha",
+                                      "alpha-ratio"])
+    def test_recorded_blocks_match_per_record(self, name):
+        """On (records, B, dim) blocks each record equals the transform of
+        its own (B, dim) slice, bit for bit."""
+        gen = np.random.default_rng(5)
+        alpha = np.sort(gen.uniform(0.1, 3.0, (4, 3, 2)), axis=-1)
+        beta = gen.normal(size=(4, 3, 1))
+        g = gen.uniform(0.5, 2.0, (4, 3))
+        whole = apply_transform(alpha, beta, g, name)
+        for t in range(4):
+            assert np.array_equal(
+                whole[t], apply_transform(alpha[t], beta[t], g[t], name))
 
     def test_witness_map(self):
         expect = {
@@ -368,6 +382,20 @@ class TestRiskEstimators:
             estimate_Rprime("binary-beta", cfg, n=50, m=1, R=3,
                             master_seed=21, theta0=Theta((), (2.0,)))
 
+    def test_rprime_refuses_unknown_start_before_any_work(self,
+                                                          monkeypatch):
+        import mcmcdegen.metrics as metrics
+
+        def no_data(*args, **kwargs):
+            raise AssertionError("a dataset was drawn")
+
+        monkeypatch.setattr(metrics, "sample_dataset", no_data)
+        with pytest.raises(ValueError, match="'fixed' or "
+                                             "'reference-posterior'"):
+            estimate_Rprime("binary-beta", ModelConfig(c=2), n=50, m=6, R=2,
+                            master_seed=21, theta0=Theta((), (2.0,)),
+                            start="prior")
+
     def test_rprime_deterministic(self):
         cfg = ModelConfig(c=2)
         kw = dict(master_seed=22, theta0=Theta((), (2.0,)), start="fixed",
@@ -380,7 +408,7 @@ class TestRiskEstimators:
         cfg = ModelConfig(c=2)
         rep = estimate_R("binary-beta", cfg, n=60, m=20, R=2,
                          reference_size=64, master_seed=23,
-                         theta0=Theta((), (2.0,)), init="reference-posterior")
+                         theta0=Theta((), (2.0,)))
         assert set(rep.estimates) == {"R", "R_localized"}
         assert np.asarray(rep.metadata["theta_hat"]).shape == (2, 1)
         assert 0.0 <= rep.value("R_localized") <= 1.0

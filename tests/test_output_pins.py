@@ -1,6 +1,7 @@
-"""sha256 pins of the program's outputs, recorded at commit 5a850b2.
+"""sha256 pins of the program's outputs, recorded at commit 5a850b2
+(``estimators`` at commit ddac0d4).
 
-Six families, each run at a small size (about 3 s in all):
+Seven families, each run at a small size (about 4 s in all):
 
 * ``loglik``: the bits of ``log_likelihood_batch`` on a fixed parameter
   grid for c = 2, 3 and 4. The rows that are -inf are listed apart, and
@@ -12,7 +13,11 @@ Six families, each run at a small size (about 3 s in all):
 * ``diagnose``: every file of a small diagnose plan with ``with_risk``;
 * ``fig2``: every file of a short fig2 plan;
 * ``reference``: the sample and BvM covariance bytes of
-  ``build_reference`` at c = 3, p = 2, short length.
+  ``build_reference`` at c = 3, p = 2, short length;
+* ``estimators``: the report bytes of the estimator paths no plan reaches:
+  R' from a fixed start at c = 2, and the one-step statistic at c = 4 on
+  the cut ratios and on the identified slope alone (the paths of
+  acceptance criteria 3 and 8).
 
 Reading a failure: the bits depend on the platform (numpy's SIMD paths
 for ``log`` and ``exp``, the BLAS, scipy), as the kernel trace digests in
@@ -29,8 +34,9 @@ import pytest
 
 from mcmcdegen.asymptotics import build_reference, build_reference_sir
 from mcmcdegen.harness import default_theta0, make_plan, orchestrate
-from mcmcdegen.model import (CovariateSpec, ModelConfig, log_likelihood_batch,
-                             sample_dataset)
+from mcmcdegen.metrics import estimate_Rprime, one_step_statistic
+from mcmcdegen.model import (CovariateSpec, ModelConfig, Theta,
+                             log_likelihood_batch, sample_dataset)
 from mcmcdegen.sampling import RngStream
 
 
@@ -192,3 +198,35 @@ _REFERENCE_PIN = (
 
 def test_reference_sample_bytes():
     assert _reference() == _REFERENCE_PIN
+
+
+# -------------------------------------------------------------- estimators
+
+def _estimator_report(name):
+    if name == "rprime-fixed":
+        return estimate_Rprime(
+            "binary-beta", ModelConfig(c=2), n=60, m=6, R=3, master_seed=501,
+            theta0=default_theta0(2), start="fixed",
+            theta_start=Theta((), (1.5,)))
+    transform, coords = {"one-step-ratio": ("alpha-ratio", None),
+                         "one-step-gbeta": ("g-theta", [2])}[name]
+    return one_step_statistic(
+        "beta-ma", ModelConfig(c=4), 100, 4, transform, 502,
+        theta0=default_theta0(4), datasets=2, inner=4, starts=2,
+        bank_size=128, pool=1024, coords=coords)
+
+
+_ESTIMATOR_PINS = {
+    "one-step-gbeta":
+        "fd88b2f87a86f8741b7b3e8076cc026ef95b946bf3a0f8c04ace16f0b857f7cb",
+    "one-step-ratio":
+        "b7ade5bb129228905f154f107a45a4073379176f9816f993c465ec4d33070428",
+    "rprime-fixed":
+        "79ee4faaa3af775406474bb2b96b475345f5103a8c797f478fd210d6f7425efd",
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ESTIMATOR_PINS))
+def test_estimator_report_bytes(name):
+    body = _estimator_report(name).to_json().encode()
+    assert hashlib.sha256(body).hexdigest() == _ESTIMATOR_PINS[name]
