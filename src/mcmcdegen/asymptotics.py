@@ -22,8 +22,8 @@ from pathlib import Path
 import numpy as np
 from scipy import optimize, stats
 
+from . import metrics
 from .kernels import VariantId, run_chain
-from .metrics import central_value
 from .model import (
     Dataset,
     ModelConfig,
@@ -36,14 +36,18 @@ from .model import (
 )
 from .sampling import RngStream
 
+_INFLATE = 1.6           # first scale of the SIR proposal on the Laplace covariance
+_HESSIAN_STEP = 1e-4     # relative finite-difference step of _hessian_fd
+_POSTERIOR_CHUNK = 1024  # draws per log_posterior_batch call in _log_posterior_vec
+
 
 @dataclasses.dataclass
 class ReferencePosterior:
-    """Empirical reference sample of the identified parameter."""
+    """Empirical reference sample of the identified parameter, with the
+    BvM surrogate N(theta_hat, bvm_cov) at its central value."""
 
     sample: np.ndarray
     theta_hat: np.ndarray
-    bvm_mean: np.ndarray
     bvm_cov: np.ndarray
     n: int
     provenance: dict
@@ -52,8 +56,11 @@ class ReferencePosterior:
     def __post_init__(self):
         self.sample = np.atleast_2d(np.asarray(self.sample, dtype=float))
         self.theta_hat = np.asarray(self.theta_hat, dtype=float)
-        self.bvm_mean = np.asarray(self.bvm_mean, dtype=float)
         self.bvm_cov = np.atleast_2d(np.asarray(self.bvm_cov, dtype=float))
+
+    @property
+    def bvm_mean(self) -> np.ndarray:
+        return self.theta_hat
 
     @property
     def size(self) -> int:
@@ -87,7 +94,6 @@ class ReferencePosterior:
         return ReferencePosterior(
             sample=sample,
             theta_hat=np.asarray(meta["theta_hat"]),
-            bvm_mean=np.asarray(meta["bvm_mean"]),
             bvm_cov=np.asarray(meta["bvm_cov"]),
             n=int(meta["n"]),
             provenance=meta["provenance"],
@@ -138,27 +144,22 @@ def build_reference(cfg: ModelConfig, data: Dataset, seed: int,
     else:
         warnings.append(f"split-half KS still failing (p={pmin:.2e}) after doubling")
 
-    theta_hat = central_value(sample)
+    return _with_bvm(cfg, data, sample, warnings=warnings, provenance={
+        "method": "chain", "variant": variant.name, "length": cur_length,
+        "burn": burn, "thin": thin, "seed": seed, "split_half_ks_p": pmin})
+
+
+def _with_bvm(cfg: ModelConfig, data: Dataset, sample: np.ndarray,
+              provenance: dict, warnings: list) -> ReferencePosterior:
+    """Package a sample with its BvM surrogate: the central value, and the
+    inverse Fisher information there over n (its method in provenance)."""
+    theta_hat = metrics.central_value(sample)
     info = fisher_information(cfg, Theta.from_vector(theta_hat, cfg.c, cfg.p))
-    bvm_cov = np.linalg.inv(info.matrix) / data.n
+    provenance["fisher"] = info.detail | {"method": info.method}
     return ReferencePosterior(
-        sample=sample,
-        theta_hat=theta_hat,
-        bvm_mean=theta_hat,
-        bvm_cov=bvm_cov,
-        n=data.n,
-        provenance={
-            "method": "chain",
-            "variant": variant.name,
-            "length": cur_length,
-            "burn": burn,
-            "thin": thin,
-            "seed": seed,
-            "split_half_ks_p": pmin,
-            "fisher": info.detail | {"method": info.method},
-        },
-        warnings=warnings,
-    )
+        sample=sample, theta_hat=theta_hat,
+        bvm_cov=np.linalg.inv(info.matrix) / data.n, n=data.n,
+        provenance=provenance, warnings=warnings)
 
 
 def _free_to_cone(vec: np.ndarray, c: int, p: int) -> Theta:
@@ -184,10 +185,10 @@ def _posterior_mode(cfg: ModelConfig, data: Dataset) -> Theta:
     return _free_to_cone(res.x, cfg.c, cfg.p)
 
 
-def _hessian_fd(fun, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:
+def _hessian_fd(fun, x0: np.ndarray) -> np.ndarray:
     d = x0.size
     H = np.empty((d, d))
-    steps = h * (1.0 + np.abs(x0))
+    steps = _HESSIAN_STEP * (1.0 + np.abs(x0))
     f0 = fun(x0)
     for i in range(d):
         for j in range(i, d):
@@ -206,14 +207,13 @@ def _hessian_fd(fun, x0: np.ndarray, h: float = 1e-4) -> np.ndarray:
     return H
 
 
-def _log_posterior_vec(cfg: ModelConfig, data: Dataset, vec: np.ndarray,
-                       chunk: int = 1024) -> np.ndarray:
+def _log_posterior_vec(cfg: ModelConfig, data: Dataset, vec: np.ndarray) -> np.ndarray:
     vec = np.atleast_2d(vec)
     k = cfg.c - 2
     out = np.empty(vec.shape[0])
-    for start in range(0, vec.shape[0], chunk):
-        block = vec[start : start + chunk]
-        out[start : start + chunk] = log_posterior_batch(
+    for start in range(0, vec.shape[0], _POSTERIOR_CHUNK):
+        block = vec[start : start + _POSTERIOR_CHUNK]
+        out[start : start + _POSTERIOR_CHUNK] = log_posterior_batch(
             cfg, block[:, :k], block[:, k:], data
         )
     return out
@@ -221,7 +221,7 @@ def _log_posterior_vec(cfg: ModelConfig, data: Dataset, vec: np.ndarray,
 
 def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
                         rng: RngStream, pool: int = 8192,
-                        inflate: float = 1.6, info: dict | None = None) -> np.ndarray:
+                        info: dict | None = None) -> np.ndarray:
     """Posterior bank by sampling-importance-resampling from a Laplace proposal.
 
     The proposal is a normal at the posterior mode with inflated inverse
@@ -243,7 +243,7 @@ def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
     d = x0.size
 
     best = None
-    scale = inflate
+    scale = _INFLATE
     for attempt in range(3):
         prop_cov = scale ** 2 * cov
         gen = rng.child("pool", attempt).generator
@@ -282,16 +282,7 @@ def sir_reference(cfg: ModelConfig, data: Dataset, size: int, seed: int,
     meta: dict = {}
     bank = build_reference_sir(cfg, data, size, RngStream(seed, "sir"),
                                pool=pool, info=meta)
-    theta_hat = central_value(bank)
-    fi = fisher_information(cfg, Theta.from_vector(theta_hat, cfg.c, cfg.p))
-    return ReferencePosterior(
-        sample=bank,
-        theta_hat=theta_hat,
-        bvm_mean=theta_hat,
-        bvm_cov=np.linalg.inv(fi.matrix) / data.n,
-        n=data.n,
-        provenance={"method": "sir", "seed": seed} | meta,
-    )
+    return _with_bvm(cfg, data, bank, {"method": "sir", "seed": seed} | meta, [])
 
 
 def km_matrix_effective(variant: VariantId | str, g: float, J0: float, K: float,
@@ -305,8 +296,7 @@ def km_matrix_effective(variant: VariantId | str, g: float, J0: float, K: float,
     the L-coupling agree between the two. The slope-only (unaugmented) beta
     kernel fits the same scheme with g = 1 and no g row.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
+    variant = VariantId.parse(variant)
     Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
     mu = np.atleast_1d(np.asarray(mu, dtype=float))
     if variant.parameterization == "null":
@@ -336,8 +326,7 @@ def fisher_blocks(variant: VariantId | str, cfg: ModelConfig, theta: Theta,
     Returns (I, m_mask, K_M, findings): the full information matrix, the
     boolean mask of the moving block, K_M, and a list of notes on sources.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
+    variant = VariantId.parse(variant)
     if variant.parameterization != "beta" or variant.augmented:
         raise ValueError("fisher_blocks covers the unaugmented beta kernels")
     fi = fisher_information(cfg, theta)
@@ -371,8 +360,7 @@ def kernel_normal_approx(variant: VariantId | str, cfg: ModelConfig,
     findings); the findings record the mixed sources and, if the
     information inequality fails, J_M's negative eigenvalue.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
+    variant = VariantId.parse(variant)
     that = Theta.from_vector(reference.theta_hat, cfg.c, cfg.p)
     I, m, K_M, findings = fisher_blocks(variant, cfg, that, data=data)
     try:

@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -31,7 +30,8 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_opts(pairs) -> dict:
+def _parse_opts(pairs, command: str) -> dict:
+    """``--opt KEY=VALUE`` pairs as a dict, checked against ``_COMMAND_OPTIONS``."""
     out = {}
     for pair in pairs or ():
         if "=" not in pair:
@@ -41,6 +41,8 @@ def _parse_opts(pairs) -> dict:
             out[key] = json.loads(val)
         except json.JSONDecodeError:
             out[key] = val
+    if command in _COMMAND_OPTIONS:
+        harness.check_option_keys(out, _COMMAND_OPTIONS[command], command)
     return out
 
 
@@ -51,12 +53,6 @@ _COMMAND_OPTIONS = {
     "run-chain": ("init", "start", "record_every"),
     "build-reference": ("length", "burn", "thin"),
 }
-
-
-def _check_opts(opts: dict, command: str) -> dict:
-    """Refuse option keys that the subcommand ``command`` does not read."""
-    harness.check_option_keys(opts, _COMMAND_OPTIONS[command], command)
-    return opts
 
 
 def _load_config(path) -> dict:
@@ -78,10 +74,7 @@ def _setting(args, cfg: dict, name: str, default=None):
 
 
 def _resolve_threads(args, cfg) -> int:
-    t = _setting(args, cfg, "threads")
-    if t is None:
-        t = os.environ.get("MCMCDEGEN_THREADS")
-    return max(1, int(t)) if t is not None else 1
+    return max(1, int(_setting(args, cfg, "threads") or 1))
 
 
 def _model_for(c: int, p: int) -> ModelConfig:
@@ -111,7 +104,7 @@ def cmd_gen_data(args) -> int:
     n = int(_setting(args, cfg, "n", 100))
     seed = int(_setting(args, cfg, "seed", 20_240_817))
     out = Path(_setting(args, cfg, "out", f"data_c{c}_n{n}.csv"))
-    opts = _check_opts(_parse_opts(args.opt), "gen-data")
+    opts = _parse_opts(args.opt, "gen-data")
     mc = _model_for(c, p)
     theta0 = _start_theta({"start": opts.get("theta0")}, c, p) \
         or harness.default_theta0(c, p)
@@ -125,7 +118,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_run_chain(args) -> int:
     cfg = _load_config(args.config)
-    opts = _check_opts(_parse_opts(args.opt), "run-chain")
+    opts = _parse_opts(args.opt, "run-chain")
     variant = VariantId.parse(_setting(args, cfg, "variant", "binary-beta"))
     c = int(_setting(args, cfg, "c", 2 if variant.binary else 3))
     p = int(_setting(args, cfg, "p", 1))
@@ -158,7 +151,7 @@ def cmd_run_chain(args) -> int:
 
 def cmd_build_reference(args) -> int:
     cfg = _load_config(args.config)
-    opts = _check_opts(_parse_opts(args.opt), "build-reference")
+    opts = _parse_opts(args.opt, "build-reference")
     c = int(_setting(args, cfg, "c", 2))
     p = int(_setting(args, cfg, "p", 1))
     n = int(_setting(args, cfg, "n", 100))
@@ -184,7 +177,7 @@ def cmd_build_reference(args) -> int:
 def _plan_from_args(args, cfg: dict,
                     scenario: str) -> harness.ExperimentPlan:
     opts = dict(cfg.get("options", {}))
-    opts.update(_parse_opts(args.opt))
+    opts.update(_parse_opts(args.opt, scenario))
     kw = {"master_seed": _setting(args, cfg, "seed"),
           "out_dir": _setting(args, cfg, "out"),
           "m": _setting(args, cfg, "m"),
@@ -363,30 +356,26 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file; flags override")
         sp.add_argument("--opt", action="append", metavar="KEY=VALUE",
                         help="extra option (repeatable)")
-        if "seed" in names:
-            sp.add_argument("--seed", type=int, help="master seed")
-        if "out" in names:
-            sp.add_argument("--out", help="output file or directory")
+        sp.add_argument("--seed", type=int, help="master seed")
+        sp.add_argument("--out", help="output file or directory")
         for name in names:
-            if name in ("seed", "out"):
-                continue
             # --n and --c are comma lists on the plan commands
             kind = int if name in ("m", "R", "p", "threads") else str
             sp.add_argument(f"--{name}", type=kind)
 
     sp = sub.add_parser("gen-data", help="sample a dataset to CSV")
-    common(sp, "seed", "out", "n", "c", "p")
+    common(sp, "n", "c", "p")
     sp.set_defaults(func=cmd_gen_data)
 
     sp = sub.add_parser("run-chain", help="run one recorded chain")
-    common(sp, "seed", "out", "n", "m", "c", "p", "variant")
+    common(sp, "n", "m", "c", "p", "variant")
     sp.add_argument("--reference", help="reference posterior CSV for "
                                         "stationary starts")
     sp.set_defaults(func=cmd_run_chain)
 
     sp = sub.add_parser("build-reference",
                         help="long-chain reference posterior sample")
-    common(sp, "seed", "out", "n", "c", "p")
+    common(sp, "n", "c", "p")
     sp.set_defaults(func=cmd_build_reference)
 
     for command, text, summary, flags in (
@@ -396,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
              ("R", "variant")),
             ("figure", "trajectory figures", None, ("m", "scenario"))):
         sp = sub.add_parser(command, help=text)
-        common(sp, "seed", "out", "n", "c", "p", "threads", *flags)
+        common(sp, "n", "c", "p", "threads", *flags)
         sp.set_defaults(func=cmd_plan, summary=summary)
 
     sp = sub.add_parser("verify", help="run the fast oracle suite")

@@ -8,7 +8,8 @@ figures, statistics for table1, diagnose and custom) and in the summary
 built from the cells (``_GRID_JOBS``). The true parameters and the
 figures' displaced starts are fixed designs (``DEFAULT_THETA0``,
 ``ORDINAL_TRACE_START``); ``SCENARIO_OPTIONS`` lists the few estimator
-settings a plan may carry.
+settings a plan may carry. ``make_plan`` runs its cells' entry checks
+(``metrics.check_settings``, ``kernels.check_variant``) before any work.
 
 Each cell runs on a thread pool and writes its own files, whose names and
 bytes depend only on the cell. A manifest records the resolved
@@ -34,9 +35,11 @@ from pathlib import Path
 import numpy as np
 
 from . import svg
-from .kernels import VariantId, load_trace, run_chain, trace_filename
-from .metrics import (DiagnosticsReport, classify_table1, estimate_R,
-                      estimate_Rprime, one_step_statistic, table1_transform)
+from .kernels import (VariantId, check_variant, load_trace, run_chain,
+                      trace_filename, transform_dim)
+from .metrics import (DiagnosticsReport, check_settings, classify_table1,
+                      estimate_R, estimate_Rprime, one_step_statistic,
+                      table1_transform)
 from .model import CovariateSpec, ModelConfig, Theta, sample_dataset
 from .sampling import RngStream
 
@@ -92,8 +95,7 @@ def default_theta0(c: int, p: int = 1) -> Theta:
     if p == 1 and c in DEFAULT_THETA0:
         return DEFAULT_THETA0[c]
     alpha = tuple(0.7 * j for j in range(1, c - 1))
-    beta = (1.0,) * p if p else ()
-    return Theta(alpha=alpha, beta=(2.0,) * p if c == 2 else beta)
+    return Theta(alpha=alpha, beta=(2.0 if c == 2 else 1.0,) * p)
 
 
 @dataclass(frozen=True)
@@ -129,7 +131,8 @@ def check_option_keys(options: dict, known, owner: str) -> None:
 
 
 def make_plan(scenario: str, **kw) -> ExperimentPlan:
-    """Build a plan from scenario defaults overlaid with keyword choices."""
+    """Build a plan from scenario defaults overlaid with keyword choices;
+    a setting that any (variant, c) cell would refuse is refused here."""
     if scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of "
                          f"{', '.join(_DEFAULTS)}")
@@ -152,11 +155,16 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
             f"scenario {scenario!r} draws the variants "
             f"{', '.join(_DEFAULTS[scenario]['variants'])}; got "
             f"{', '.join(plan.variants)}")
-    if scenario in ("fig2", "fig3") and any(c < 4 for c in plan.c_list):
-        raise ValueError(
-            f"scenario {scenario!r} plots the ratio of the second and third "
-            f"cut points and needs c >= 4 outcome categories; got "
-            f"c={min(plan.c_list)}")
+    for c in plan.c_list:
+        cfg = _model(plan, c)  # refuses c < 2 and p < 1
+        for variant in map(VariantId.parse, plan.variants):
+            check_variant(variant, c)
+            if scenario in ("fig2", "fig3"):  # they plot the cut ratios
+                transform_dim("alpha-ratio", c, plan.p)
+            elif scenario not in _FIGURES:
+                check_settings(variant, cfg, table1_transform(variant, c), plan.R,
+                               m=None if scenario == "table1" else plan.m,
+                               reference_size=_reference_rows(plan))
     return plan
 
 
@@ -182,12 +190,9 @@ class RunManifest:
     version: str = ""
 
     def save(self, path: Path) -> None:
-        payload = {"scenario": self.scenario, "config": self.config,
-                   "cells": self.cells, "files": self.files,
-                   "version": self.version}
         tmp = path.with_suffix(".tmp")
         with open(tmp, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(dataclasses.asdict(self), fh, indent=2, sort_keys=True)
             fh.write("\n")
         tmp.replace(path)
 
@@ -235,6 +240,12 @@ def _model(plan: ExperimentPlan, c: int) -> ModelConfig:
     return ModelConfig(c=c, covariates=CovariateSpec(p=plan.p))
 
 
+def _reference_rows(plan: ExperimentPlan) -> int | None:
+    """The reference rows of a diagnose cell's R, or None without R."""
+    opts = plan.options
+    return opts.get("reference_size", 512) if opts.get("with_risk") else None
+
+
 def _grid_cells(plan: ExperimentPlan, body):
     """One cell per (variant, c, n), seeded by its own stream; the cell
     runs ``body(plan, variant, cfg, theta0, n, transform, seed)``."""
@@ -242,13 +253,12 @@ def _grid_cells(plan: ExperimentPlan, body):
     for c in plan.c_list:
         cfg = _model(plan, c)
         theta0 = default_theta0(c, plan.p)
-        for name in plan.variants:
-            variant = VariantId.parse(name)
+        for variant in map(VariantId.parse, plan.variants):
             transform = table1_transform(variant, c)
             for n in plan.n_list:
-                seed = RngStream(plan.master_seed, plan.scenario, name, c,
-                                 n).seed_int()
-                cells.append((f"{plan.scenario}/{name}/c{c}/n{n}",
+                seed = RngStream(plan.master_seed, plan.scenario, variant.name,
+                                 c, n).seed_int()
+                cells.append((f"{plan.scenario}/{variant.name}/c{c}/n{n}",
                               functools.partial(body, plan, variant, cfg,
                                                 theta0, n, transform, seed)))
     return cells
@@ -284,13 +294,12 @@ def _diagnose_cell(plan, variant, cfg, theta0, n, transform, seed):
         inner=opts.get("inner", 12), starts=opts.get("starts", 4),
         bank_size=bank_size, pool=opts.get("pool", 8192))}
     out["risk_prime"] = estimate_Rprime(
-        variant, cfg, n, plan.m, max(2, plan.R), seed, theta0=theta0,
+        variant, cfg, n, plan.m, plan.R, seed, theta0=theta0,
         transform=transform, bank_size=bank_size)
-    if opts.get("with_risk"):
+    if _reference_rows(plan) is not None:
         out["risk"] = estimate_R(
-            variant, cfg, n, plan.m, max(2, plan.R),
-            opts.get("reference_size", 512), seed, theta0=theta0,
-            transform=transform)
+            variant, cfg, n, plan.m, plan.R, _reference_rows(plan), seed,
+            theta0=theta0, transform=transform)
     return out
 
 

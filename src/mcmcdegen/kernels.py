@@ -58,7 +58,10 @@ class VariantId:
     binary: bool
 
     @staticmethod
-    def parse(name: str) -> "VariantId":
+    def parse(name: "str | VariantId") -> "VariantId":
+        """The variant of a name; a VariantId is returned as it is."""
+        if isinstance(name, VariantId):
+            return name
         table = {
             "binary-null": ("null", False, True),
             "binary-beta": ("beta", False, True),
@@ -315,6 +318,17 @@ def kernel_step(cfg: ModelConfig, data: Dataset, state: ChainState,
 TRANSFORMS = ("theta", "g-theta", "alpha", "alpha-ratio")
 
 
+def transform_dim(name: str, c: int, p: int) -> int:
+    """Output dimension of a named transform at (c, p); refuses an unknown
+    name, and a cut-point transform with too few categories."""
+    if name not in TRANSFORMS:
+        raise ValueError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
+    least = {"alpha": 3, "alpha-ratio": 4}.get(name, 2)
+    if c < least:
+        raise ValueError(f"{name} transform needs c >= {least}")
+    return c - 2 + p if least == 2 else c - least + 1
+
+
 def apply_transform(alpha, beta, g, name: str) -> np.ndarray:
     """Evaluate a named functional of the state on (..., dim) blocks, with
     ``g`` shaped like their leading axes.
@@ -323,18 +337,13 @@ def apply_transform(alpha, beta, g, name: str) -> np.ndarray:
     ``alpha`` the cut-point block, and ``alpha-ratio`` the consecutive
     cut-point ratios (needs c >= 4).
     """
-    if name in ("theta", "g-theta"):
-        theta = np.concatenate([alpha, beta], axis=-1)
-        return theta if name == "theta" else g[..., None] * theta
+    transform_dim(name, alpha.shape[-1] + 2, beta.shape[-1])
     if name == "alpha":
-        if not alpha.shape[-1]:
-            raise ValueError("alpha transform needs c >= 3")
         return alpha.copy()
     if name == "alpha-ratio":
-        if alpha.shape[-1] < 2:
-            raise ValueError("alpha-ratio transform needs c >= 4")
         return alpha[..., 1:] / alpha[..., :-1]
-    raise ValueError(f"unknown transform {name!r}; expected one of {TRANSFORMS}")
+    theta = np.concatenate([alpha, beta], axis=-1)
+    return theta if name == "theta" else g[..., None] * theta
 
 
 def transform_names(variant: VariantId, c: int, p: int) -> list[str]:
@@ -369,10 +378,6 @@ class ChainTrace:
     alpha: np.ndarray
     beta: np.ndarray
     g: np.ndarray
-
-    @property
-    def batch(self) -> int:
-        return self.g.shape[1]
 
     def transform(self, name: str) -> np.ndarray:
         """A named transform of every recorded state: (records, B, dim)."""
@@ -415,9 +420,15 @@ def load_trace(path) -> dict:
     return {name: arr[:, i] for i, name in enumerate(header)}
 
 
+def check_variant(variant: VariantId, c: int) -> None:
+    """Refuse a kernel at a number of categories it is not defined for."""
+    if variant.binary and c != 2:
+        raise ValueError("binary kernels require c = 2")
+
+
 def initial_state(cfg: ModelConfig, variant: VariantId, batch: int,
                   rng: RngStream, *, init: str = "fixed",
-                  theta: Theta | None = None, g0: float = 1.0,
+                  theta: Theta | None = None,
                   reference: np.ndarray | None = None,
                   g_quantiles: np.ndarray | None = None) -> ChainState:
     """Build a batch start: a fixed point, prior draws, or bank rows.
@@ -429,16 +440,14 @@ def initial_state(cfg: ModelConfig, variant: VariantId, batch: int,
     instead of drawing the scales, so callers can stratify over the scale
     mixture; the rows stay independent of the scales either way.
     """
-    if variant.binary and cfg.c != 2:
-        raise ValueError("binary kernels require c = 2")
+    check_variant(variant, cfg.c)
     if init == "fixed":
         if theta is None:
             raise ValueError("fixed init needs a theta")
         cfg.validate_theta(theta)
         alpha = np.tile(theta.alpha, (batch, 1))
         beta = np.tile(theta.beta, (batch, 1))
-        g = np.full(batch, float(g0) if variant.augmented else 1.0)
-        return ChainState(alpha=alpha, beta=beta, g=g)
+        return ChainState(alpha=alpha, beta=beta, g=np.ones(batch))
     if init == "prior":
         vec = prior_theta_draws(cfg, batch, rng.child("init-theta"))
     elif init == "reference-posterior":
@@ -469,7 +478,7 @@ def initial_state(cfg: ModelConfig, variant: VariantId, batch: int,
 
 def run_chain(cfg: ModelConfig, data: Dataset, variant: VariantId | str,
               n_steps: int, rng: RngStream, *, init: str = "fixed",
-              theta: Theta | None = None, g0: float = 1.0,
+              theta: Theta | None = None,
               reference: np.ndarray | None = None, batch: int = 1,
               record_every: int = 1,
               state: ChainState | None = None) -> ChainTrace:
@@ -478,11 +487,10 @@ def run_chain(cfg: ModelConfig, data: Dataset, variant: VariantId | str,
     The initial state is recorded as step 0. Pass ``state`` to continue from
     an existing batch instead of building one from the init policy.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
+    variant = VariantId.parse(variant)
     if state is None:
         state = initial_state(cfg, variant, batch, rng, init=init, theta=theta,
-                              g0=g0, reference=reference)
+                              reference=reference)
     recs = [0] + [t for t in range(1, n_steps + 1) if t % record_every == 0]
     R = len(recs)
     alpha = np.empty((R, state.batch, cfg.c - 2))

@@ -19,7 +19,8 @@ Three estimators live here:
   separates degenerate from locally consistent kernels.
 
 Each steps its chains through ``kernels.run_chain`` and evaluates the
-transform once on the recorded states.
+transform once on the recorded states. Each first runs ``check_settings``,
+which ``harness.make_plan`` also runs on every cell of a plan.
 """
 
 from __future__ import annotations
@@ -32,9 +33,11 @@ from pathlib import Path
 import numpy as np
 from scipy import optimize, spatial
 
-from .kernels import VariantId, initial_state, run_chain
+from . import asymptotics
+from .kernels import VariantId, check_variant, initial_state, run_chain, transform_dim
 from .model import ModelConfig, Theta, sample_dataset
 from .sampling import RngStream
+
 
 def table1_transform(variant: VariantId | str, c: int) -> str:
     """The transform whose one-step motion witnesses each classification cell.
@@ -46,8 +49,7 @@ def table1_transform(variant: VariantId | str, c: int) -> str:
     what remains frozen beyond that is the raw parameter for the null side
     and the scale-free cut-point ratios for the beta side.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
+    variant = VariantId.parse(variant)
     if variant.parameterization == "null":
         if not variant.augmented:
             return "theta"
@@ -104,12 +106,12 @@ def bl_distance(u, v, *, scale: float = 1.0) -> BLValue:
                    "assignment")
 
 
-def central_value(points, tol: float = 1e-10) -> np.ndarray:
+def central_value(points) -> np.ndarray:
     """Per-coordinate root of k^{-1} sum_i arctan(x_i - t) = 0 over the rows
     x_i of ``points``.
 
     The map is strictly decreasing in t, so the root is unique and lies in
-    [min x, max x]; bisection runs until the residual drops below ``tol``.
+    [min x, max x]; bisection runs until the residual drops below 1e-10.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     w = np.full(points.shape[0], 1.0 / points.shape[0])
@@ -127,7 +129,7 @@ def central_value(points, tol: float = 1e-10) -> np.ndarray:
         for _ in range(200):
             mid = 0.5 * (lo + hi)
             r = resid(mid)
-            if abs(r) < tol:
+            if abs(r) < 1e-10:
                 break
             if r > 0:
                 lo = mid
@@ -162,8 +164,7 @@ class DiagnosticsReport:
     metadata: dict = dataclasses.field(default_factory=dict)
 
     def __post_init__(self):
-        if self.replications < 2:
-            raise ValueError("need at least two replications for an s.e.")
+        _check_replications(self.replications)
         for key, entry in self.estimates.items():
             if "value" not in entry or "se" not in entry:
                 raise ValueError(f"estimate {key!r} lacks value/se")
@@ -219,10 +220,30 @@ def _cluster_se(values, clusters) -> dict:
     return {"value": mean, "se": float(math.sqrt(var))}
 
 
-def _stationary_bank(cfg, data, size, rng, pool=8192):
-    from . import asymptotics
+def _check_replications(R: int) -> None:
+    if R < 2:
+        raise ValueError("need at least two replications for an s.e.")
 
-    return asymptotics.build_reference_sir(cfg, data, size=size, rng=rng, pool=pool)
+
+def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
+                   R: int, *, m: int | None = None, coords=None,
+                   reference_size: int | None = None) -> VariantId:
+    """Refuse estimator settings no run could use; returns the variant. The
+    kernel and transform must be defined at (c, p), ``coords`` within the
+    transform, R >= 2, m >= 2 and ``reference_size`` >= m."""
+    variant = VariantId.parse(variant)
+    check_variant(variant, cfg.c)
+    dim = transform_dim(transform, cfg.c, cfg.p)
+    if coords is not None and not all(-dim <= k < dim for k in coords):
+        raise ValueError(f"coords {[int(k) for k in coords]} out of range "
+                         f"for the {dim}-dimensional {transform!r} transform")
+    _check_replications(R)
+    if m is not None and m < 2:
+        raise ValueError("need m >= 2")
+    if reference_size is not None and reference_size < m:
+        raise ValueError(f"reference_size={reference_size} < m={m}: need m "
+                         "distinct reference rows")
+    return variant
 
 
 def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
@@ -238,10 +259,7 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
     it m steps, and evaluates m^{-1} sum_i d(F(s(0)), F(s(i))) on both the
     unlocalized and the sqrt(n)-localized scale.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
-    if m < 2:
-        raise ValueError("need m >= 2")
+    variant = check_settings(variant, cfg, transform, R, m=m)
     if start not in ("fixed", "reference-posterior"):
         raise ValueError(f"unknown start policy {start!r}; expected 'fixed' "
                          "or 'reference-posterior'")
@@ -250,8 +268,10 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
     for r in range(R):
         rep = root.child("rep", r)
         data = sample_dataset(cfg, theta0, n, seed=rep.child("data").seed_int())
-        bank = (_stationary_bank(cfg, data, bank_size, rep.child("bank"))
-                if start == "reference-posterior" else None)
+        bank = None
+        if start == "reference-posterior":
+            bank = asymptotics.build_reference_sir(cfg, data, bank_size,
+                                                   rep.child("bank"))
         state = initial_state(cfg, variant, 1, rep, init=start,
                               theta=theta_start or theta0, reference=bank)
         series = run_chain(cfg, data, variant, m, rep.child("chain"),
@@ -280,17 +300,15 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
     orientation). The central value of the reference sample per replication
     is recorded as localization metadata.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
-    if reference_size < m:
-        raise ValueError(f"reference_size={reference_size} < m={m}: need m "
-                         "distinct reference rows")
+    variant = check_settings(variant, cfg, transform, R, m=m,
+                             reference_size=reference_size)
     root = RngStream(master_seed, "risk", variant.name, n, m)
     raw, loc, centers, how = [], [], [], {}
     for r in range(R):
         rep = root.child("rep", r)
         data = sample_dataset(cfg, theta0, n, seed=rep.child("data").seed_int())
-        bank = _stationary_bank(cfg, data, reference_size, rep.child("bank"))
+        bank = asymptotics.build_reference_sir(cfg, data, reference_size,
+                                               rep.child("bank"))
         series = run_chain(cfg, data, variant, m, rep.child("chain"),
                            theta=theta0).transform(transform)[1:, 0]
         pick = rep.child("ref-pick").generator
@@ -329,15 +347,12 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
     the transform to selected output coordinates. The s.e. is
     cluster-robust over datasets.
     """
-    if isinstance(variant, str):
-        variant = VariantId.parse(variant)
-    if R < 2:
-        raise ValueError("need at least two replication units")
+    if coords is not None:
+        coords = list(np.atleast_1d(coords))
+    variant = check_settings(variant, cfg, transform, R, coords=coords)
     if datasets is None:
         datasets = max(2, min(8, math.ceil(R / 16)))
     per = math.ceil(R / datasets)
-    if coords is not None:
-        coords = list(np.atleast_1d(coords))
     root = RngStream(master_seed, "one-step", variant.name, n, transform)
     values, labels = [], []
     unit = 0
@@ -346,7 +361,8 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
             break
         rep = root.child("data", d)
         data = sample_dataset(cfg, theta0, n, seed=rep.child("gen").seed_int())
-        bank = _stationary_bank(cfg, data, bank_size, rep.child("bank"), pool=pool)
+        bank = asymptotics.build_reference_sir(cfg, data, bank_size, rep.child("bank"),
+                                               pool=pool)
         b = min(per, R - unit)
         quantiles = None
         if variant.augmented and starts > 1:

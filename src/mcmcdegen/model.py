@@ -32,6 +32,7 @@ _LIKELIHOOD_CHUNK = 4096    # observations per chunk in log_likelihood_batch
 _LIKELIHOOD_BLOCK = 1 << 15  # draw x observation cells per block; keeps its temporaries in L2
 _QUAD_TOL = 1e-12           # absolute and relative tolerance of the scale-constant quadratures
 _FISHER_QUAD_TOL = 1e-10    # the same for the information quadrature at p = 1
+_PRIOR_ROUNDS = 10_000      # rejection rounds of prior_theta_draws before it gives up
 
 #: The prior: independent N(0, SIGMA_ALPHA^2) cut-points restricted to the
 #: ordered cone, spherical N(0, SIGMA_BETA^2 I) slopes, and g^2 ~ Gamma(A0,
@@ -82,15 +83,6 @@ class Theta:
         if a.size:
             if not np.all(a > 0) or not np.all(np.diff(a) > 0):
                 raise ValueError(f"cut-points must satisfy 0 < a2 < ... : {a}")
-
-    def __eq__(self, other):
-        if not isinstance(other, Theta):
-            return NotImplemented
-        return (np.array_equal(self.alpha, other.alpha)
-                and np.array_equal(self.beta, other.beta))
-
-    def __hash__(self):
-        return hash((self.alpha.tobytes(), self.beta.tobytes()))
 
     @property
     def c(self) -> int:
@@ -250,9 +242,6 @@ class FisherInformation:
     matrix: np.ndarray
     method: str
     detail: dict
-
-    def __array__(self, dtype=None):
-        return np.asarray(self.matrix, dtype=dtype)
 
 
 def _information_terms(cfg: ModelConfig, theta: Theta, x) -> np.ndarray:
@@ -437,8 +426,7 @@ def log_posterior_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.ndar
     return log_prior(cfg, alpha, beta) + log_likelihood_batch(cfg, alpha, beta, data)
 
 
-def prior_theta_draws(cfg: ModelConfig, size: int, rng: RngStream,
-                      max_tries: int = 10_000) -> np.ndarray:
+def prior_theta_draws(cfg: ModelConfig, size: int, rng: RngStream) -> np.ndarray:
     """i.i.d. draws of theta from the prior restricted to the ordered cone.
 
     Rejection on the cone: sort the normals (the conditioned law of an
@@ -449,7 +437,7 @@ def prior_theta_draws(cfg: ModelConfig, size: int, rng: RngStream,
     k = cfg.c - 2
     out = np.empty((size, cfg.dim))
     filled = 0
-    for _ in range(max_tries):
+    for _ in range(_PRIOR_ROUNDS):
         if filled >= size:
             break
         need = size - filled

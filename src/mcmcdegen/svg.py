@@ -13,6 +13,7 @@ import dataclasses
 from pathlib import Path
 
 PALETTE = ("#000000", "#b22222", "#1f4e8c", "#2e7d32")
+WIDTH, PANEL_HEIGHT = 840, 250  # pixels: the figure's width, one panel's height
 
 
 def _fmt(x: float) -> str:
@@ -129,18 +130,18 @@ def _panel_svg(panel: Panel, top: int, width: int, height: int) -> list[str]:
     return out
 
 
-def line_plot(panels, path, width: int = 840, panel_height: int = 250) -> bytes:
+def line_plot(panels, path) -> bytes:
     """Render stacked panels to an SVG file; returns the exact bytes."""
     panels = tuple(panels)
-    height = panel_height * len(panels)
+    height = PANEL_HEIGHT * len(panels)
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" '
-        f'height="{height}" viewBox="0 0 {width} {height}">',
-        f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{height}" viewBox="0 0 {WIDTH} {height}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{height}" fill="#ffffff"/>',
     ]
     for i, panel in enumerate(panels):
-        parts.extend(_panel_svg(panel, i * panel_height, width, panel_height))
+        parts.extend(_panel_svg(panel, i * PANEL_HEIGHT, WIDTH, PANEL_HEIGHT))
     parts.append("</svg>")
     data = ("\n".join(parts) + "\n").encode("utf-8")
     if path is not None:

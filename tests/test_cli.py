@@ -171,6 +171,26 @@ class TestErrors:
         assert "unknown option" in json.loads(err)["error"]["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose", "--m", "1"], "need m >= 2"),
+        (["diagnose", "--m", "600", "--opt", "with_risk=true"],
+         "reference_size=512 < m=600"),
+        (["table1", "--R", "1"], "need at least two replications"),
+        (["diagnose", "--variant", "binary-null", "--c", "3"],
+         "binary kernels require c = 2"),
+    ], ids=["m-1", "m-above-reference", "R-1", "binary-c3"])
+    def test_plan_no_cell_could_run_exits_2(self, tmp_path, capsys, argv,
+                                            message):
+        """A plan its cells would refuse is a configuration error (exit 2),
+        not a failed run (exit 1), and leaves no output directory."""
+        small = ["--n", "40", "--opt", "inner=2", "--opt", "starts=2",
+                 "--opt", "bank_size=64", "--opt", "pool=512"]
+        code, _, err = _run(capsys, argv + small + ["--out",
+                                                    str(tmp_path / "o")])
+        assert code == 2
+        assert message in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_option_in_config_file(self, tmp_path, capsys):
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps({"options": {"inner": 3, "startz": 2}}))
@@ -255,13 +275,6 @@ class TestHarnessCommands:
         assert code == 0, err
         rows = stdout.splitlines()[1:-1]
         assert {row.split(",")[1] for row in rows} == {"2", "3"}
-
-    def test_threads_env_fallback(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("MCMCDEGEN_THREADS", "2")
-        code, _, _ = _run(capsys, [
-            "figure", "--scenario", "fig1", "--out", str(tmp_path),
-            "--n", "40", "--m", "8"])
-        assert code == 0
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -90,6 +90,23 @@ class TestPlans:
         assert make_plan("diagnose", options={"pool": 256}).options == {
             "pool": 256}
 
+    @pytest.mark.parametrize("scenario, kw, message", [
+        ("diagnose", dict(m=1), "need m >= 2"),
+        ("diagnose", dict(m=600, options={"with_risk": True}),
+         "reference_size=512 < m=600"),
+        ("table1", dict(R=1), "need at least two replications"),
+        ("diagnose", dict(variants=("binary-null",), c_list=(3,)),
+         "binary kernels require c = 2"),
+        ("fig1", dict(c_list=(3,)), "binary kernels require c = 2"),
+    ], ids=["m-1", "m-above-reference", "R-1", "binary-c3", "fig1-c3"])
+    def test_plan_no_cell_could_run_is_refused(self, scenario, kw, message):
+        """A setting its cells' estimators would refuse at entry is refused
+        by ``make_plan``, with their message, before any cell runs: these
+        plans used to build banks and chains and then fail every cell."""
+        with pytest.raises(ValueError) as err:
+            make_plan(scenario, **kw)
+        assert message in str(err.value)
+
     def test_config_drops_execution_details(self):
         plan = make_plan("fig1", threads=8, out_dir="/tmp/zzz")
         cfg = plan.config_dict()

@@ -409,12 +409,14 @@ def _trace_digest(variant, c, batch):
     data = sample_dataset(cfg, theta, 40, seed=61)
     if c == "gap":
         data = Dataset(x=data.x, y=np.where(data.y == 3, 2, data.y), c=cfg.c)
-    # One chain starts at theta; a batch of three starts from prior draws,
-    # which puts early latent and cut-point windows in the far tails.
-    init = {"init": "fixed", "theta": theta} if batch == 1 else {
-        "init": "prior"}
+    # One chain starts at theta, an augmented one at scale g = 1.3; a batch
+    # of three starts from prior draws, which puts early latent and
+    # cut-point windows in the far tails.
+    g = 1.3 if VariantId.parse(variant).augmented else 1.0
+    init = {"state": ChainState(alpha=[theta.alpha], beta=[theta.beta], g=g)
+            } if batch == 1 else {"init": "prior"}
     trace = run_chain(cfg, data, variant, 50, RngStream(62, variant, batch),
-                      batch=batch, g0=1.3, **init)
+                      batch=batch, **init)
     digest = hashlib.sha256()
     for arr in (trace.alpha, trace.beta, trace.g):
         digest.update(arr.tobytes())

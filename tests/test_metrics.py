@@ -467,6 +467,59 @@ class TestOneStepStatistic:
         assert strat.metadata["starts"] == 8
 
 
+_C3 = dict(cfg=ModelConfig(c=3), theta0=Theta((1.0,), (-1.0,)))
+
+
+class TestEntryChecks:
+    """Each estimator refuses a setting no run could use before it builds a
+    reference bank or steps a chain: a bad transform used to surface only
+    after the first sweeps, and ``coords`` out of range as an IndexError."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        import mcmcdegen.asymptotics as asymptotics
+        import mcmcdegen.kernels as kernels
+
+        calls = {"kernel_step": 0, "build_reference_sir": 0}
+        for mod in (kernels, asymptotics):
+            for name in set(calls) & set(vars(mod)):
+                def counted(*args, _real=getattr(mod, name), _name=name,
+                            **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+
+    @pytest.mark.parametrize("run, message", [
+        (lambda: one_step_statistic(
+            "beta-ma", _C3["cfg"], 100, 4, "alpha-ratio", 1,
+            theta0=_C3["theta0"], datasets=2, inner=2, bank_size=64,
+            pool=512), "alpha-ratio transform needs c >= 4"),
+        (lambda: one_step_statistic(
+            "beta", _C3["cfg"], 100, 4, "theta", 1, theta0=_C3["theta0"],
+            datasets=2, inner=2, bank_size=64, pool=512, coords=[5]),
+         "coords [5] out of range for the 2-dimensional 'theta' transform"),
+        (lambda: one_step_statistic(
+            "binary-null", _C3["cfg"], 100, 4, "theta", 1,
+            theta0=_C3["theta0"], datasets=2, inner=2, bank_size=64,
+            pool=512), "binary kernels require c = 2"),
+        (lambda: estimate_Rprime(
+            "binary-beta", _C3["cfg"], n=50, m=6, R=2, master_seed=1,
+            theta0=_C3["theta0"], bank_size=64), "binary kernels require c = 2"),
+        (lambda: estimate_R(
+            "null", _C3["cfg"], n=50, m=6, R=2, reference_size=64,
+            master_seed=1, theta0=_C3["theta0"], transform="huh"),
+         "unknown transform 'huh'"),
+    ], ids=["ratio-at-c3", "coords", "binary-one-step", "binary-rprime",
+            "unknown-transform"])
+    def test_refused_before_any_work(self, calls, run, message):
+        with pytest.raises(ValueError) as err:
+            run()
+        assert message in str(err.value)
+        assert calls == {"kernel_step": 0, "build_reference_sir": 0}
+
+
 class TestLagOne:
     def test_known_series(self):
         s = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])

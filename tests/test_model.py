@@ -63,7 +63,8 @@ class TestTheta:
         th = Theta(alpha=(0.5, 1.25), beta=(-1.0, 0.3))
         vec = th.as_vector()
         back = Theta.from_vector(vec, c=4, p=2)
-        assert back == th
+        assert np.array_equal(back.alpha, th.alpha)
+        assert np.array_equal(back.beta, th.beta)
         assert th.c == 4 and th.p == 2 and th.dim == 4
 
     def test_cone_violations_raise(self):
@@ -268,7 +269,8 @@ class TestDatasets:
         assert np.allclose(back.x, data.x)
         assert np.array_equal(back.y, data.y)
         assert back.c == data.c and back.seed == data.seed
-        assert back.true_theta == data.true_theta
+        assert np.array_equal(back.true_theta.alpha, data.true_theta.alpha)
+        assert np.array_equal(back.true_theta.beta, data.true_theta.beta)
 
 
 class TestLogDensities:
