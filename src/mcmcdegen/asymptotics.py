@@ -29,6 +29,7 @@ from .model import (
     ModelConfig,
     NumericalFailure,
     Theta,
+    _log_posterior_row,
     fisher_information,
     log_posterior_batch,
     scale_constants,
@@ -162,10 +163,10 @@ def _with_bvm(cfg: ModelConfig, data: Dataset, sample: np.ndarray,
         provenance=provenance, warnings=warnings)
 
 
-def _free_to_cone(vec: np.ndarray, c: int, p: int) -> Theta:
-    k = c - 2
-    alpha = np.cumsum(np.exp(vec[:k])) if k else np.empty(0)
-    return Theta(alpha=alpha, beta=vec[k:])
+def _free_to_cone(vec: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The cut-points cumsum(exp(v)) of the first k free coordinates, and
+    the slopes."""
+    return np.cumsum(np.exp(vec[:k])) if k else np.empty(0), vec[k:]
 
 
 def _posterior_mode(cfg: ModelConfig, data: Dataset) -> Theta:
@@ -173,16 +174,16 @@ def _posterior_mode(cfg: ModelConfig, data: Dataset) -> Theta:
     k = cfg.c - 2
 
     def neg(v):
-        th = _free_to_cone(v, cfg.c, cfg.p)
-        val = log_posterior_batch(cfg, th.alpha[None, :], th.beta[None, :], data)[0]
-        return -val if np.isfinite(val) else 1e12
+        val = _log_posterior_row(*_free_to_cone(v, k), data)
+        return -val if math.isfinite(val) else 1e12
 
     v0 = np.concatenate([np.full(k, math.log(0.5)), np.zeros(cfg.p)])
     res = optimize.minimize(neg, v0, method="Nelder-Mead",
                             options={"maxiter": 2000, "xatol": 1e-6, "fatol": 1e-8})
     if not np.all(np.isfinite(res.x)):
         raise NumericalFailure("posterior mode search failed")
-    return _free_to_cone(res.x, cfg.c, cfg.p)
+    alpha, beta = _free_to_cone(res.x, k)
+    return Theta(alpha=alpha, beta=beta)
 
 
 def _hessian_fd(fun, x0: np.ndarray) -> np.ndarray:
@@ -233,7 +234,8 @@ def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
     """
     mode = _posterior_mode(cfg, data)
     x0 = mode.as_vector()
-    H = _hessian_fd(lambda v: -_log_posterior_vec(cfg, data, v[None, :])[0], x0)
+    k = cfg.c - 2
+    H = _hessian_fd(lambda v: -_log_posterior_row(v[:k], v[k:], data), x0)
     try:
         cov = np.linalg.inv(0.5 * (H + H.T))
         np.linalg.cholesky(cov)

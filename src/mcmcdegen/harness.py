@@ -164,7 +164,8 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
             elif scenario not in _FIGURES:
                 check_settings(variant, cfg, table1_transform(variant, c), plan.R,
                                m=None if scenario == "table1" else plan.m,
-                               reference_size=_reference_rows(plan))
+                               reference_size=_reference_rows(plan),
+                               **_sir_sizes(plan))
     return plan
 
 
@@ -240,6 +241,13 @@ def _model(plan: ExperimentPlan, c: int) -> ModelConfig:
     return ModelConfig(c=c, covariates=CovariateSpec(p=plan.p))
 
 
+def _sir_sizes(plan: ExperimentPlan) -> dict:
+    """The bank size and pool of a table1 or diagnose cell's SIR banks."""
+    table1 = plan.scenario == "table1"
+    return {"bank_size": plan.options.get("bank_size", 1024 if table1 else 512),
+            "pool": plan.options.get("pool", 16384 if table1 else 8192)}
+
+
 def _reference_rows(plan: ExperimentPlan) -> int | None:
     """The reference rows of a diagnose cell's R, or None without R."""
     opts = plan.options
@@ -282,20 +290,18 @@ def _table1_cell(plan, variant, cfg, theta0, n, transform, seed):
     return one_step_statistic(
         variant, cfg, n, plan.R, transform, seed, theta0=theta0,
         datasets=opts.get("datasets", 6), inner=opts.get("inner", 16),
-        starts=opts.get("starts", 16), bank_size=opts.get("bank_size", 1024),
-        pool=opts.get("pool", 16384))
+        starts=opts.get("starts", 16), **_sir_sizes(plan))
 
 
 def _diagnose_cell(plan, variant, cfg, theta0, n, transform, seed):
     opts = plan.options
-    bank_size = opts.get("bank_size", 512)
+    sizes = _sir_sizes(plan)
     out = {"one_step": one_step_statistic(
         variant, cfg, n, plan.R, transform, seed, theta0=theta0,
-        inner=opts.get("inner", 12), starts=opts.get("starts", 4),
-        bank_size=bank_size, pool=opts.get("pool", 8192))}
+        inner=opts.get("inner", 12), starts=opts.get("starts", 4), **sizes)}
     out["risk_prime"] = estimate_Rprime(
         variant, cfg, n, plan.m, plan.R, seed, theta0=theta0,
-        transform=transform, bank_size=bank_size)
+        transform=transform, bank_size=sizes["bank_size"])
     if _reference_rows(plan) is not None:
         out["risk"] = estimate_R(
             variant, cfg, n, plan.m, plan.R, _reference_rows(plan), seed,

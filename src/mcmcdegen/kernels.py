@@ -10,17 +10,21 @@ Two parameterizations of the latent representation are supported:
 
 Each comes with and without marginal augmentation by a working scale g whose
 square is Gamma(A0, B0) a priori; without augmentation g stays fixed at 1.
-All updates operate on a batch of chains at once (leading axis B) so that a
+The updates operate on a batch of chains at once (leading axis B) so that a
 whole replicate set advances under one RNG stream, making results
-independent of how work is scheduled across threads. ``run_chain`` is the
-one driver of a batch; ``apply_transform`` evaluates the named functionals
-of the state (raw, identified, cut points, cut ratios) on its records.
+independent of how work is scheduled across threads. A batch of one chain
+(a reference chain, a figure's trace, an R or R' chain) takes
+``_sweep_one``: the same bits, without numpy's per-call cost on (1, .)
+arrays. ``run_chain`` is the one driver of a batch; ``apply_transform``
+evaluates the named functionals of the state (raw, identified, cut points,
+cut ratios) on its records.
 """
 
 from __future__ import annotations
 
 import csv
 import dataclasses
+import math
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +41,9 @@ from .sampling import (
     truncated_normal_extended,
     truncated_normal_vec,
 )
+from .sampling import _all, _any, _bulk_windows, _max, _min, _window_float
 
 VARIANT_NAMES = ("binary-null", "binary-beta", "null", "beta", "null-ma", "beta-ma")
-
-# The reductions behind ndarray.any/all/max/min, called without the Python
-# wrappers those methods go through; a batch-1 sweep makes a dozen of them.
-_any = np.logical_or.reduce
-_all = np.logical_and.reduce
-_max = np.maximum.reduce
-_min = np.minimum.reduce
 
 
 @dataclasses.dataclass(frozen=True)
@@ -112,6 +110,7 @@ class _Prepared:
     below: np.ndarray        # y - 1: column of each row's lower cut-point
     cut_rows: tuple          # per free cut-point j: rows with y == j, y == j + 1
     chol: np.ndarray         # lower Cholesky factor of X'X + I / sigma_beta^2
+    template: np.ndarray     # the c + 1 cut-points, free ones 0; copied per sweep
 
 
 def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
@@ -127,6 +126,7 @@ def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
             below=data.y - 1,
             cut_rows=tuple((rows[j - 1], rows[j]) for j in range(2, cfg.c)),
             chol=cholesky(a, lower=True),
+            template=np.concatenate([[-np.inf], np.zeros(cfg.c - 1), [np.inf]]),
         ))
     return prep
 
@@ -299,13 +299,100 @@ def update_g(cfg: ModelConfig, data: Dataset, state: ChainState,
         + 0.5 * np.sum(state.alpha * state.alpha, axis=1) / SIGMA_ALPHA ** 2
         + 0.5 * np.sum(state.beta * state.beta, axis=1) / SIGMA_BETA ** 2
     )
-    state.g = np.sqrt(gamma_draw(shape, rate, rng))
+    if state.batch == 1:  # the same variate, without numpy's array loop
+        rate = float(rate[0])
+    state.g = np.sqrt(np.atleast_1d(gamma_draw(shape, rate, rng)))
+    return state
+
+
+def _fmax(a: float, b: float) -> float:
+    """``np.maximum`` on floats: NaN propagates, a tie takes ``b``."""
+    return a if a > b or a != a else b
+
+
+def _fmin(a: float, b: float) -> float:
+    """``np.minimum`` on floats: NaN propagates, a tie takes ``b``."""
+    return a if a < b or a != a else b
+
+
+def _draw_open(sd: float, lo: float, hi: float, rng: RngStream) -> float:
+    """``_ensure_open`` and ``_draw_window(0.0, sd, lo, hi)`` on one chain's
+    (1,) window, in floats; a window past TAIL_CUTOFF takes the array path."""
+    hi = _fmax(hi, math.nextafter(lo, math.inf))
+    try:
+        x = _window_float(0.0, sd, lo, hi, 1, rng.generator)
+    except DegenerateIntervalError:
+        return _draw_careful(0.0, sd, lo, hi, rng).item()
+    if x is None:
+        return _draw_window(0.0, np.array([sd]), np.array([lo]),
+                            np.array([hi]), rng).item()
+    return x
+
+
+def _sweep_one(cfg: ModelConfig, data: Dataset, state: ChainState,
+               variant: VariantId, rng: RngStream):
+    """``kernel_step`` for a batch of one chain: the generic sweep's
+    arithmetic in its order on 1-D arrays and Python floats, with the same
+    bits and uniforms. b'x stays a (1, n) product, which a one-row product
+    may round differently. A latent block ``_bulk_windows`` refuses goes to
+    ``draw_latent`` before any uniform is drawn."""
+    prep = _prepared(cfg, data)
+    null = variant.parameterization == "null"
+    alpha = state.alpha[0].tolist()
+    cuts = prep.template.copy()
+    cuts[2:cfg.c] = alpha
+    bx = (state.beta @ data.x.T)[0]
+    lo = cuts.take(prep.below)
+    hi = cuts.take(data.y)
+    if null:
+        lo += bx
+        hi += bx
+    z = _bulk_windows(None if null else -bx, float(1.0 / state.g[0]), lo, hi,
+                      rng.generator)
+    if z is None:
+        z = draw_latent(cfg, data, state, variant, rng)[0]
+    state.z = z.reshape(1, -1)
+    update_g(cfg, data, state, variant, rng)
+    g = state.g[0]
+    witness = z - bx if null else z
+    sd = float(SIGMA_ALPHA / g)
+    for col, (low_rows, high_rows) in enumerate(prep.cut_rows):
+        lo = float(_max(witness.take(low_rows), initial=-np.inf))
+        hi = float(_min(witness.take(high_rows), initial=np.inf))
+        lo = _fmax(lo, alpha[col - 1] if col else 0.0)
+        if col + 1 < len(alpha):
+            hi = _fmin(hi, alpha[col + 1])
+        alpha[col] = _draw_open(sd, lo, hi, rng)
+    if alpha:
+        state.alpha[0] = alpha
+
+    if null:
+        cuts[2:cfg.c] = alpha
+        au = cuts.take(data.y)
+        al = cuts.take(prep.below)
+        beta = state.beta[0].tolist()
+        sd = float(SIGMA_BETA / g)
+        for k, xk in enumerate(data.x.T):
+            rest = bx - beta[k] * xk
+            lo = float(_max((z - au - rest) / xk))
+            hi = float(_min((z - al - rest) / xk))
+            beta[k] = _draw_open(sd, lo, hi, rng)
+            bx = rest + beta[k] * xk
+        state.beta[0] = beta
+    else:
+        _draw_beta_gaussian(cfg, data, state, rng)
+    if (any(v <= 0 for v in alpha)
+            or any(v <= u for u, v in zip(alpha, alpha[1:]))):
+        raise AssertionError("cut-point ordering violated")
     return state
 
 
 def kernel_step(cfg: ModelConfig, data: Dataset, state: ChainState,
                 variant: VariantId, rng: RngStream):
-    """One full Gibbs sweep: latents, then scale (if augmented), then theta."""
+    """One full Gibbs sweep: latents, then scale (if augmented), then theta.
+    A batch of one chain takes ``_sweep_one``, with the same bits."""
+    if state.batch == 1:
+        return _sweep_one(cfg, data, state, variant, rng)
     draw_latent(cfg, data, state, variant, rng)
     update_g(cfg, data, state, variant, rng)
     if variant.parameterization == "null":

@@ -227,10 +227,13 @@ def _check_replications(R: int) -> None:
 
 def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
                    R: int, *, m: int | None = None, coords=None,
-                   reference_size: int | None = None) -> VariantId:
+                   reference_size: int | None = None,
+                   bank_size: int | None = None,
+                   pool: int | None = None) -> VariantId:
     """Refuse estimator settings no run could use; returns the variant. The
     kernel and transform must be defined at (c, p), ``coords`` within the
-    transform, R >= 2, m >= 2 and ``reference_size`` >= m."""
+    transform, R >= 2, m >= 2, ``reference_size`` >= m and the SIR
+    ``pool`` >= ``bank_size`` (the bank is that many distinct pool draws)."""
     variant = VariantId.parse(variant)
     check_variant(variant, cfg.c)
     dim = transform_dim(transform, cfg.c, cfg.p)
@@ -243,6 +246,9 @@ def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
     if reference_size is not None and reference_size < m:
         raise ValueError(f"reference_size={reference_size} < m={m}: need m "
                          "distinct reference rows")
+    if pool is not None and pool < bank_size:
+        raise ValueError(f"pool={pool} < bank_size={bank_size}: the SIR bank "
+                         "needs bank_size distinct pool draws")
     return variant
 
 
@@ -349,7 +355,8 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
     """
     if coords is not None:
         coords = list(np.atleast_1d(coords))
-    variant = check_settings(variant, cfg, transform, R, coords=coords)
+    variant = check_settings(variant, cfg, transform, R, coords=coords,
+                             bank_size=bank_size, pool=pool)
     if datasets is None:
         datasets = max(2, min(8, math.ceil(R / 16)))
     per = math.ceil(R / datasets)

@@ -24,7 +24,7 @@ import numpy as np
 from scipy import integrate
 from scipy.special import ndtr
 
-from .sampling import RngStream
+from .sampling import RngStream, _any, _sum
 
 _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 _FISHER_BLOCK = 4096   # Monte Carlo rows per block in fisher_information; bounds its temporaries
@@ -165,6 +165,21 @@ class Dataset:
         for r in rows:
             r.flags.writeable = False
         return rows
+
+    @functools.cached_property
+    def _likelihood_chunks(self) -> tuple:
+        """``log_likelihood_batch``'s chunks of ``_LIKELIHOOD_CHUNK`` rows:
+        (start, stop, each category j present with its chunk columns)."""
+        chunks = []
+        for start in range(0, self.n, _LIKELIHOOD_CHUNK):
+            stop = min(start + _LIKELIHOOD_CHUNK, self.n)
+            groups = []
+            for j, rows in enumerate(self.category_rows, start=1):
+                lo, hi = rows.searchsorted((start, stop))
+                if hi > lo:
+                    groups.append((j, rows[lo:hi] - start))
+            chunks.append((start, stop, groups))
+        return tuple(chunks)
 
     @functools.cached_property
     def _kernel_cache(self) -> dict:
@@ -379,14 +394,8 @@ def log_likelihood_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.nda
     if c > 2:
         valid = np.all(alpha > 0, axis=1) & np.all(np.diff(alpha, axis=1) > 0, axis=1)
     cuts = np.concatenate([np.zeros((B, 1)), alpha], axis=1)  # alpha^1 .. alpha^{c-1}
-    for start in range(0, data.n, _LIKELIHOOD_CHUNK):
-        stop = min(start + _LIKELIHOOD_CHUNK, data.n)
+    for start, stop, groups in data._likelihood_chunks:
         bx = beta @ data.x[start:stop].T
-        groups = []
-        for j, rows in enumerate(data.category_rows, start=1):
-            lo, hi = rows.searchsorted((start, stop))
-            if hi > lo:
-                groups.append((j, rows[lo:hi] - start))
         step = max(1, _LIKELIHOOD_BLOCK // (stop - start))
         for r0 in range(0, B, step):
             rb = slice(r0, r0 + step)
@@ -405,25 +414,51 @@ def _category_cells(bx: np.ndarray, cuts: np.ndarray, groups: list,
     """Cell probabilities P(y_i | x_i) of a row block, in observation order.
 
     ``groups`` pairs each category j present with its columns of ``bx``;
-    ``cuts`` holds the block's alpha^1 = 0 .. alpha^{c-1} as columns.
+    ``cuts`` holds the block's alpha^1 = 0 .. alpha^{c-1} along its last
+    axis. A block may also be one row: ``bx`` and ``cuts`` 1-D.
     """
     cell = np.empty(bx.shape)
     for j, cols in groups:
-        b = bx[:, cols]
+        b = bx[..., cols]
         if j == c:
-            p = ndtr(cuts[:, j - 2, None] + b)
+            p = ndtr(cuts[..., j - 2, None] + b)
             np.subtract(1.0, p, out=p)
         else:
-            p = ndtr(cuts[:, j - 1, None] + b)
+            p = ndtr(cuts[..., j - 1, None] + b)
             if j > 1:
-                p -= ndtr(cuts[:, j - 2, None] + b)
-        cell[:, cols] = p
+                p -= ndtr(cuts[..., j - 2, None] + b)
+        cell[..., cols] = p
     return cell
 
 
 def log_posterior_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.ndarray:
     """Unnormalized log posterior over a batch of parameter values."""
     return log_prior(cfg, alpha, beta) + log_likelihood_batch(cfg, alpha, beta, data)
+
+
+def _log_posterior_row(alpha: np.ndarray, beta: np.ndarray,
+                       data: Dataset) -> float:
+    """``log_posterior_batch`` on a batch of the one value (1-D ``alpha``
+    and ``beta``), with the same bits: the prior's and likelihood's
+    operations in their order, without the batch's validation and block
+    loop. b'x stays a (1, n) product, which a one-row product may round
+    differently; each chunk's cell logs are summed over one row."""
+    a = alpha.tolist()
+    if any(v <= 0 for v in a) or any(v <= u for u, v in zip(a, a[1:])):
+        return -math.inf
+    prior = (-0.5 * _sum(alpha * alpha) / SIGMA_ALPHA ** 2
+             - 0.5 * _sum(beta * beta) / SIGMA_BETA ** 2)
+    cuts = np.concatenate(([0.0], alpha))
+    beta = beta.reshape(1, -1)
+    total = 0.0
+    for start, stop, groups in data._likelihood_chunks:
+        cell = _category_cells((beta @ data.x[start:stop].T)[0], cuts, groups,
+                               alpha.size + 2)
+        if _any(cell <= 0):
+            total = -math.inf
+        else:
+            total += _sum(np.log(cell, out=cell))
+    return prior + total
 
 
 def prior_theta_draws(cfg: ModelConfig, size: int, rng: RngStream) -> np.ndarray:

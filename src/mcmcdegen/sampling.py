@@ -27,6 +27,14 @@ TAIL_CUTOFF = 6.0
 MASS_FLOOR = 1e-300
 _MAX_REJECTION_ROUNDS = 64
 
+# The reductions behind ndarray.any/all/max/min/sum, called without the
+# Python wrappers those methods go through; a one-chain sweep makes a dozen.
+_any = np.logical_or.reduce
+_all = np.logical_and.reduce
+_max = np.maximum.reduce
+_min = np.minimum.reduce
+_sum = np.add.reduce
+
 
 class DegenerateIntervalError(ValueError):
     """Raised when a truncation interval carries no representable mass."""
@@ -252,7 +260,16 @@ def _one_window(mean, sd, lo, hi, gen):
             ndim = max(ndim, v.ndim)
         else:
             return None
-    mean, sd, lo, hi = args
+    x = _window_float(*args, ndim, gen)
+    if x is None:
+        return None
+    return np.array(x, ndmin=ndim) if ndim else np.float64(x)
+
+
+def _window_float(mean: float, sd: float, lo: float, hi: float, ndim: int,
+                  gen) -> float | None:
+    """``_one_window`` on floats at a call's broadcast ndim: the draw, or
+    None for a window past TAIL_CUTOFF."""
     if sd <= 0:
         raise ValueError("sd must be positive")
     a = (lo - mean) / sd
@@ -274,8 +291,52 @@ def _one_window(mean, sd, lo, hi, gen):
         z = -z
     if not (z >= a and z <= b):
         raise SamplingError("truncated-normal draw outside its window")
-    x = _clamp(mean + sd * z, lo, hi, ndim)
-    return np.array(x, ndmin=ndim) if ndim else np.float64(x)
+    return _clamp(mean + sd * z, lo, hi, ndim)
+
+
+def _bulk_windows(mean, sd: float, lo, hi, gen):
+    """``truncated_normal_vec`` on one chain's 1-D windows at a float sd:
+    the array path's operations in its order, in place where the bits
+    allow. ``mean`` None is the mean 0.0, whose ``0.0 + sd * z`` turns
+    -0.0 into +0.0. Returns None, with no uniform drawn, where the array
+    path would raise or branch: sd not positive, an empty window, a window
+    past TAIL_CUTOFF, or a mass under MASS_FLOOR."""
+    if not sd > 0:
+        return None
+    a, b = (lo, hi) if mean is None else (lo - mean, hi - mean)
+    if sd != 1.0:
+        a = a / sd
+        b = b / sd
+    if not _all(a < b):
+        return None
+    flip = a > 0.0
+    wlo = np.where(flip, -b, a)
+    whi = np.where(flip, -a, b)
+    # Neither bound holds a NaN once every a < b, so the minima decide.
+    if _min(whi) <= -TAIL_CUTOFF:
+        return None
+    fa = ndtr(wlo)
+    mass = ndtr(whi)
+    mass -= fa
+    if _min(mass) < MASS_FLOOR:
+        return None
+    z = gen.random(lo.size)
+    z *= mass
+    z += fa
+    ndtri(z, out=z)
+    np.maximum(z, wlo, out=z)
+    np.minimum(z, whi, out=z)
+    # Every wlo < whi, so the clamps leave z in its reflected window unless
+    # ndtri gave NaN: the window check reduces to a NaN test.
+    check = _min(z)
+    if check != check:
+        raise SamplingError("truncated-normal draw outside its window")
+    np.negative(z, out=z, where=flip)
+    if sd != 1.0:
+        z *= sd
+    z += 0.0 if mean is None else mean
+    np.maximum(z, lo, out=z)
+    return np.minimum(z, hi, out=z)
 
 
 def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):

@@ -191,6 +191,20 @@ class TestErrors:
         assert message in json.loads(err)["error"]["message"]
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose", "--opt", "pool=256"], "pool=256 < bank_size=512"),
+        (["table1", "--opt", "bank_size=2048", "--opt", "pool=1024"],
+         "pool=1024 < bank_size=2048"),
+    ], ids=["diagnose", "table1"])
+    def test_pool_below_bank_size_exits_2(self, tmp_path, capsys, argv,
+                                          message):
+        """A SIR pool smaller than its bank can never give the bank its
+        distinct rows, so every cell would fail: exit 2, no output."""
+        code, _, err = _run(capsys, argv + ["--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "o").exists()
+
     def test_unknown_option_in_config_file(self, tmp_path, capsys):
         conf = tmp_path / "c.json"
         conf.write_text(json.dumps({"options": {"inner": 3, "startz": 2}}))

@@ -79,7 +79,7 @@ class TestPlans:
         with pytest.raises(ValueError, match="unknown option 'bank_sz' for "
                            "diagnose; known: inner, starts, bank_size"):
             make_plan("diagnose", out_dir=str(out), n_list=(20,), m=2, R=2,
-                      options={"bank_sz": 64, "pool": 256, "inner": 2,
+                      options={"bank_sz": 64, "pool": 512, "inner": 2,
                                "starts": 2})
         with pytest.raises(ValueError, match="unknown option 'theta0'"):
             make_plan("table1", out_dir=str(out), n_list=(20,), m=2, R=2,
@@ -87,8 +87,8 @@ class TestPlans:
         with pytest.raises(ValueError, match="known: none"):
             make_plan("fig1", out_dir=str(out), options={"pool": 256})
         assert not out.exists()
-        assert make_plan("diagnose", options={"pool": 256}).options == {
-            "pool": 256}
+        assert make_plan("diagnose", options={"pool": 512}).options == {
+            "pool": 512}
 
     @pytest.mark.parametrize("scenario, kw, message", [
         ("diagnose", dict(m=1), "need m >= 2"),
@@ -98,7 +98,11 @@ class TestPlans:
         ("diagnose", dict(variants=("binary-null",), c_list=(3,)),
          "binary kernels require c = 2"),
         ("fig1", dict(c_list=(3,)), "binary kernels require c = 2"),
-    ], ids=["m-1", "m-above-reference", "R-1", "binary-c3", "fig1-c3"])
+        ("diagnose", dict(options={"pool": 256}), "pool=256 < bank_size=512"),
+        ("table1", dict(options={"bank_size": 2048, "pool": 1024}),
+         "pool=1024 < bank_size=2048"),
+    ], ids=["m-1", "m-above-reference", "R-1", "binary-c3", "fig1-c3",
+            "diagnose-pool-below-bank", "table1-pool-below-bank"])
     def test_plan_no_cell_could_run_is_refused(self, scenario, kw, message):
         """A setting its cells' estimators would refuse at entry is refused
         by ``make_plan``, with their message, before any cell runs: these

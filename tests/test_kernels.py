@@ -1,6 +1,7 @@
 """Gibbs kernel correctness: conditionals, invariance, aliases, traces."""
 
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,10 +10,12 @@ from scipy.stats import gamma as gamma_dist
 from scipy.stats import ks_2samp, norm
 
 from mcmcdegen.asymptotics import build_reference_sir
+from mcmcdegen import kernels
 from mcmcdegen.kernels import (
     ChainState,
     _scan_alpha,
     _scan_beta_null,
+    _sweep_one,
     VariantId,
     draw_latent,
     initial_state,
@@ -22,6 +25,8 @@ from mcmcdegen.kernels import (
     trace_filename,
     transform_names,
     update_g,
+    update_theta_beta,
+    update_theta_null,
 )
 from mcmcdegen.model import (
     A0,
@@ -34,7 +39,7 @@ from mcmcdegen.model import (
     Theta,
     sample_dataset,
 )
-from mcmcdegen.sampling import RngStream
+from mcmcdegen.sampling import RngStream, SamplingError
 
 
 def _prepared_state(cfg, data, variant, theta, g, rng):
@@ -436,3 +441,172 @@ class TestTraceBytes:
         binary variants run at c = 2 only, where they are defined.
         """
         assert _trace_digest(*key) == _TRACE_DIGESTS[key]
+
+
+class _PinnedUniforms:
+    """A generator that passes every draw through to ``gen``, except that
+    the first block of ``n`` uniforms has the positions in ``pins``
+    replaced: a way to put latents exactly on their window's edges."""
+
+    def __init__(self, gen, n, pins):
+        self._gen, self._n, self._pins = gen, n, dict(pins)
+
+    def random(self, size=None):
+        out = self._gen.random(size)
+        if size == self._n and self._pins:
+            for i, v in self._pins.items():
+                out[i] = v
+            self._pins = {}
+        return out
+
+    def __getattr__(self, name):
+        return getattr(self._gen, name)
+
+
+def _generic_sweep(cfg, data, state, variant, rng):
+    """The sweep ``kernel_step`` runs for a batch of several chains."""
+    draw_latent(cfg, data, state, variant, rng)
+    update_g(cfg, data, state, variant, rng)
+    if variant.parameterization == "null":
+        update_theta_null(cfg, data, state, rng)
+    else:
+        update_theta_beta(cfg, data, state, rng)
+
+
+def _stream_state(rng):
+    gen = getattr(rng.generator, "_gen", rng.generator)
+    return json.dumps(gen.bit_generator.state, sort_keys=True,
+                      default=lambda v: np.asarray(v).tolist())
+
+
+def _run_both(cfg, data, variant, alpha, beta, g, *, seed=81, sweeps=1,
+              pins=None):
+    """Run ``_sweep_one`` and the generic sweep from equal states on equal
+    streams; return each side's final state bytes and stream state."""
+    variant = VariantId.parse(variant)
+    out = []
+    for sweep in (_sweep_one, _generic_sweep):
+        state = ChainState(alpha=[alpha], beta=[beta], g=g)
+        rng = RngStream(seed, variant.name)
+        if pins:
+            rng._gen = _PinnedUniforms(rng.generator, data.n, pins)
+        for _ in range(sweeps):
+            sweep(cfg, data, state, variant, rng)
+        out.append(([a.tobytes() for a in (state.alpha, state.beta, state.g,
+                                            state.z)], _stream_state(rng),
+                    state))
+    return out
+
+
+class TestOneChainSweep:
+    """``_sweep_one`` against the generic sweep, from equal states: every
+    byte of the state and the Philox stream state must agree."""
+
+    def test_float_max_min_follow_numpy(self):
+        """The window bounds' float max and min keep np.maximum's and
+        np.minimum's rules: NaN propagates, a tie of signed zeros takes
+        the second operand."""
+        vals = [-0.0, 0.0, np.nan, 1.0, -1.0, np.inf, -np.inf]
+        for a in vals:
+            for b in vals:
+                for mine, ufunc in ((kernels._fmax, np.maximum),
+                                    (kernels._fmin, np.minimum)):
+                    want = ufunc(np.array([a]), np.array([b]))
+                    assert np.array([mine(a, b)]).tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("variant, c", [
+        ("binary-null", 2), ("binary-beta", 2), ("null", 3), ("beta", 3),
+        ("null-ma", 3), ("beta-ma", 3), ("null", "gap"), ("beta", "gap"),
+        ("null-ma", "gap"), ("beta-ma", "gap")])
+    @pytest.mark.parametrize("g", [1.0, 1.3])
+    def test_sweeps_match_generic(self, variant, c, g):
+        theta = _DIGEST_THETA[c]
+        cfg = ModelConfig(c=theta.alpha.size + 2,
+                          covariates=CovariateSpec(p=theta.beta.size))
+        data = sample_dataset(cfg, theta, 40, seed=61)
+        if c == "gap":  # category 3 empty
+            data = Dataset(x=data.x, y=np.where(data.y == 3, 2, data.y),
+                           c=cfg.c)
+        one, generic = _run_both(cfg, data, variant, theta.alpha, theta.beta,
+                                 g, sweeps=25)
+        assert one[:2] == generic[:2]
+
+    @pytest.mark.parametrize("variant", ["binary-beta", "binary-null"])
+    def test_tail_latent_falls_back_before_any_uniform(self, variant,
+                                                       monkeypatch):
+        """Latent windows 40+ sd out: the sweep hands the block to
+        ``draw_latent`` with the stream as it found it."""
+        cfg = ModelConfig(c=2)
+        x = np.concatenate([np.linspace(0.05, 0.6, 36),
+                            [0.93, 0.96, 0.99, 1.0]])
+        data = Dataset(x=x[:, None], y=np.where(x > 0.5, 2, 1), c=2)
+        seen = []
+        real = kernels.draw_latent
+
+        def watched(cfg, data, state, variant, rng):
+            seen.append(_stream_state(rng))
+            return real(cfg, data, state, variant, rng)
+
+        monkeypatch.setattr(kernels, "draw_latent", watched)
+        fresh = _stream_state(RngStream(81, variant))
+        one, generic = _run_both(cfg, data, variant, (), (44.0,), 1.0)
+        assert one[:2] == generic[:2]
+        assert seen == [fresh]
+
+    def test_shut_cut_point_window(self, monkeypatch):
+        """Uniforms pinned so the y = 2 and y = 3 latents both land on the
+        cut-point 1.264: its window is shut, ``_ensure_open`` widens it by
+        one ulp, which holds no double mass at sd = 10, and the draw goes
+        to the extended-precision path on both sides."""
+        extended = []
+        real = kernels.truncated_normal_extended
+        monkeypatch.setattr(kernels, "truncated_normal_extended",
+                            lambda *a: extended.append(a) or real(*a))
+        cfg = ModelConfig(c=3)
+        data = Dataset(x=np.full((4, 1), 0.5), y=np.array([1, 2, 3, 3]), c=3)
+        one, generic = _run_both(cfg, data, "beta", (1.264,), (0.0,), 1.0,
+                                 pins={1: 1.2, 2: 1.2})
+        assert one[:2] == generic[:2]
+        assert one[2].z[0, 1] == one[2].z[0, 2] == 1.264
+        assert len(extended) == 2
+
+    def test_shut_slope_window(self, monkeypatch):
+        """Both null latents pinned to b'x = 0.25 with x = 0.5: the slope
+        window is [0.5, 0.5], shut, and drawn by the extended path."""
+        extended = []
+        real = kernels.truncated_normal_extended
+        monkeypatch.setattr(kernels, "truncated_normal_extended",
+                            lambda *a: extended.append(a) or real(*a))
+        cfg = ModelConfig(c=2)
+        data = Dataset(x=np.full((2, 1), 0.5), y=np.array([1, 2]), c=2)
+        one, generic = _run_both(cfg, data, "binary-null", (), (0.5,), 1.0,
+                                 pins={0: 1.2, 1: 1.2})
+        assert one[:2] == generic[:2]
+        assert np.array_equal(one[2].z, [[0.25, 0.25]])
+        assert len(extended) == 2
+
+    def test_signed_zero_latent_in_null_path(self):
+        """A standardised draw of -0.0: the window's lower end b'x is the
+        least subnormal, which standardises to -0.0 at sd = 1 / 0.3, and a
+        pinned uniform of 0 puts ndtri(0.5) = 0.0 on it. ``0.0 + sd * z``
+        turns the -0.0 into +0.0, and the latent keeps it."""
+        cfg = ModelConfig(c=2)
+        data = Dataset(x=np.array([[0.6], [0.7], [0.2]]), y=np.array([2, 2, 1]),
+                       c=2)
+        one, generic = _run_both(cfg, data, "binary-null", (), (-1e-323,), 0.3,
+                                 pins={0: 0.0})
+        assert one[:2] == generic[:2]
+        z0 = generic[2].z[0, 0]
+        assert z0 == 0.0 and not np.signbit(z0)
+
+    def test_draw_outside_window_raises(self):
+        """A pinned uniform past 1 makes ndtri NaN, which no clamp puts
+        back in the window: both sweeps raise SamplingError."""
+        cfg = ModelConfig(c=2)
+        data = Dataset(x=np.full((2, 1), 0.5), y=np.array([1, 2]), c=2)
+        for sweep in (_sweep_one, _generic_sweep):
+            rng = RngStream(81, "outside")
+            rng._gen = _PinnedUniforms(rng.generator, 2, {0: 5.0})
+            state = ChainState(alpha=[()], beta=[(0.5,)], g=1.0)
+            with pytest.raises(SamplingError):
+                sweep(cfg, data, state, VariantId.parse("binary-null"), rng)

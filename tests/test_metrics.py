@@ -511,8 +511,12 @@ class TestEntryChecks:
             "null", _C3["cfg"], n=50, m=6, R=2, reference_size=64,
             master_seed=1, theta0=_C3["theta0"], transform="huh"),
          "unknown transform 'huh'"),
+        (lambda: one_step_statistic(
+            "beta", _C3["cfg"], 100, 4, "theta", 1, theta0=_C3["theta0"],
+            datasets=2, inner=2, bank_size=512, pool=256),
+         "pool=256 < bank_size=512"),
     ], ids=["ratio-at-c3", "coords", "binary-one-step", "binary-rprime",
-            "unknown-transform"])
+            "unknown-transform", "pool-below-bank"])
     def test_refused_before_any_work(self, calls, run, message):
         with pytest.raises(ValueError) as err:
             run()

@@ -16,12 +16,14 @@ from mcmcdegen.model import (
     ModelConfig,
     Theta,
     _cell_gradients,
+    _log_posterior_row,
     _phi,
     cell_probabilities,
     cumulative_probs,
     fisher_information,
     load_dataset,
     log_likelihood_batch,
+    log_posterior_batch,
     log_prior,
     prior_theta_draws,
     sample_dataset,
@@ -415,6 +417,54 @@ class TestLikelihoodBits:
         gen = np.random.default_rng(seed)
         data = Dataset(x=gen.random((n, p)), y=gen.integers(1, c + 1, n), c=c)
         _assert_bits(*_draws(c, p, B, seed, extreme=range(0, B, 11)), data)
+
+
+class TestLogPosteriorRow:
+    """The mode search's one-row log posterior keeps the bits of a batch
+    of one row (at p > 1 a larger batch may round b'x differently)."""
+
+    @staticmethod
+    def _assert_rows(alpha, beta, data):
+        cfg = ModelConfig(c=data.c, covariates=CovariateSpec(p=data.p))
+        want = np.array([log_posterior_batch(cfg, alpha[r:r + 1],
+                                             beta[r:r + 1], data)[0]
+                         for r in range(len(alpha))])
+        got = np.array([_log_posterior_row(a, b, data)
+                        for a, b in zip(alpha, beta)])
+        assert got.tobytes() == want.tobytes()
+        return want
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("p", [1, 2])
+    def test_rows_match_batch(self, c, p):
+        """Rows near the design, at beta = +-9 (a cell that rounds to 0
+        at c >= 3), off the cone, and with two tied cut-points."""
+        cfg = ModelConfig(c=c, covariates=CovariateSpec(p=p))
+        theta0 = Theta(alpha=tuple(0.7 * k for k in range(1, c - 1)),
+                       beta=(-1.0,) * p)
+        data = sample_dataset(cfg, theta0, 300, seed=20 + 3 * c + p)
+        alpha, beta = _draws(c, p, 60, seed=c + 10 * p,
+                             extreme=range(0, 60, 4))
+        if c == 4:
+            alpha[5, 1] = alpha[5, 0]
+        if c == 2:
+            beta[7] = 40.0  # the binary likelihood's rounded-off cell
+        want = self._assert_rows(alpha, beta, data)
+        assert np.isfinite(want).sum() >= 30
+        assert (want == -np.inf).any()
+        if c > 2:
+            off = log_prior(cfg, alpha, beta) == -np.inf
+            assert off.any() and (np.isfinite(log_likelihood_batch(
+                cfg, alpha, beta, data)) & ~off).any()
+
+    def test_two_observation_chunks(self):
+        cfg = ModelConfig(c=3)
+        data = sample_dataset(cfg, Theta(alpha=(1.0,), beta=(-1.0,)), 5000,
+                              seed=11)
+        assert model._LIKELIHOOD_CHUNK < data.n
+        want = self._assert_rows(*_draws(3, 1, 12, seed=13, extreme=(0, 1, 2)),
+                                 data)
+        assert np.isfinite(want).sum() >= 8
 
 
 class TestCategoryIndex:
