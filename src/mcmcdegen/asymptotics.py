@@ -1,7 +1,7 @@
 """Reference posteriors, information matrices, and kernel approximations.
 
 The "true posterior" that risks are measured against is an empirical sample:
-either a long thinned run of the best-mixing implemented kernel
+either a long thinned run of the latent-shift (beta) kernel
 (``build_reference``), or importance resampling from an inflated Laplace
 proposal (``build_reference_sir``) when many independent references are
 needed cheaply. A normal surrogate N(theta_hat, I^{-1}/n) rides along as a
@@ -20,7 +20,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize, stats
 
 from . import metrics
 from .kernels import VariantId, run_chain
@@ -37,6 +36,7 @@ from .model import (
 )
 from .sampling import RngStream
 
+SIR_POOL = 8192          # default SIR pool, and the pool of every R and Rprime bank
 _INFLATE = 1.6           # first scale of the SIR proposal on the Laplace covariance
 _HESSIAN_STEP = 1e-4     # relative finite-difference step of _hessian_fd
 _POSTERIOR_CHUNK = 1024  # draws per log_posterior_batch call in _log_posterior_vec
@@ -104,6 +104,8 @@ class ReferencePosterior:
 
 def _split_half_ks(sample: np.ndarray) -> float:
     """Smallest per-coordinate KS p-value between the run's two halves."""
+    from scipy import stats
+
     half = sample.shape[0] // 2
     pvals = []
     for d in range(sample.shape[1]):
@@ -117,9 +119,11 @@ def build_reference(cfg: ModelConfig, data: Dataset, seed: int,
                     thin: int = 10) -> ReferencePosterior:
     """Long-run reference: the latent-shift kernel, thinned after burn-in.
 
-    The latent-shift (beta) parameterization is the best-mixing implemented
-    kernel, and shares its stationary law with the others, so it serves as
-    the reference for all of them. A split-half KS check guards against
+    The latent-shift (beta) parameterization shares its stationary law with
+    the other kernels, so its long run serves as the reference for all of
+    them. It does not mix best: the classification table labels it
+    degenerate (X) at c = 3 and 4, so the run is long, starts at the
+    posterior mode, and a split-half KS check guards against
     non-convergence: on failure the run length is doubled once and a warning
     is recorded either way.
     """
@@ -171,6 +175,8 @@ def _free_to_cone(vec: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 def _posterior_mode(cfg: ModelConfig, data: Dataset) -> Theta:
     """Posterior mode via a smooth reparameterization of the ordering cone."""
+    from scipy import optimize
+
     k = cfg.c - 2
 
     def neg(v):
@@ -221,7 +227,7 @@ def _log_posterior_vec(cfg: ModelConfig, data: Dataset, vec: np.ndarray) -> np.n
 
 
 def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
-                        rng: RngStream, pool: int = 8192,
+                        rng: RngStream, pool: int = SIR_POOL,
                         info: dict | None = None) -> np.ndarray:
     """Posterior bank by sampling-importance-resampling from a Laplace proposal.
 
@@ -232,6 +238,8 @@ def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
     the effective sample size falls under 5% of the pool the proposal is
     widened and the pool redrawn (up to three rounds).
     """
+    from scipy import stats
+
     mode = _posterior_mode(cfg, data)
     x0 = mode.as_vector()
     k = cfg.c - 2
@@ -279,7 +287,7 @@ def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
 
 
 def sir_reference(cfg: ModelConfig, data: Dataset, size: int, seed: int,
-                  pool: int = 8192) -> ReferencePosterior:
+                  pool: int = SIR_POOL) -> ReferencePosterior:
     """Package a SIR bank as a ReferencePosterior with the BvM surrogate."""
     meta: dict = {}
     bank = build_reference_sir(cfg, data, size, RngStream(seed, "sir"),

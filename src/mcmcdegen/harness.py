@@ -162,10 +162,14 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
             if scenario in ("fig2", "fig3"):  # they plot the cut ratios
                 transform_dim("alpha-ratio", c, plan.p)
             elif scenario not in _FIGURES:
-                check_settings(variant, cfg, table1_transform(variant, c), plan.R,
+                transform = table1_transform(variant, c)
+                check_settings(variant, cfg, transform, plan.R,
                                m=None if scenario == "table1" else plan.m,
                                reference_size=_reference_rows(plan),
                                **_sir_sizes(plan))
+                if scenario != "table1":  # estimate_Rprime's banks: SIR_POOL
+                    check_settings(variant, cfg, transform, plan.R, m=plan.m,
+                                   bank_size=_sir_sizes(plan)["bank_size"])
     return plan
 
 

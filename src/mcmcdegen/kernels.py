@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 from scipy.linalg import cholesky
 from scipy.linalg.lapack import dpotrs, dtrtrs
-from scipy.stats import gamma as gamma_dist
+from scipy.special import gammaincinv
 
 from .model import (A0, B0, SIGMA_ALPHA, SIGMA_BETA, Dataset, ModelConfig,
                     Theta, prior_theta_draws)
@@ -554,7 +554,7 @@ def initial_state(cfg: ModelConfig, variant: VariantId, batch: int,
             q = np.asarray(g_quantiles, dtype=float)
             if q.shape != (batch,):
                 raise ValueError("g_quantiles must have one value per chain")
-            g = np.sqrt(gamma_dist.ppf(q, a=A0, scale=1.0 / B0))
+            g = np.sqrt(gammaincinv(A0, q) * (1.0 / B0))
         else:
             g = np.sqrt(gamma_draw(A0, B0, rng.child("init-g"), size=batch))
         vec = vec / g[:, None]

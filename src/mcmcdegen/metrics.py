@@ -31,7 +31,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import optimize, spatial
 
 from . import asymptotics
 from .kernels import VariantId, check_variant, initial_state, run_chain, transform_dim
@@ -93,6 +92,8 @@ def bl_distance(u, v, *, scale: float = 1.0) -> BLValue:
     of equal size W1 is an assignment problem (Birkhoff-von Neumann), solved
     exactly by ``linear_sum_assignment`` on the k x k matrix of d.
     """
+    from scipy import optimize, spatial
+
     u = np.atleast_2d(np.asarray(u, dtype=float))
     v = np.atleast_2d(np.asarray(v, dtype=float))
     if u.shape[1] != v.shape[1]:
@@ -232,8 +233,8 @@ def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
                    pool: int | None = None) -> VariantId:
     """Refuse estimator settings no run could use; returns the variant. The
     kernel and transform must be defined at (c, p), ``coords`` within the
-    transform, R >= 2, m >= 2, ``reference_size`` >= m and the SIR
-    ``pool`` >= ``bank_size`` (the bank is that many distinct pool draws)."""
+    transform, R >= 2, m >= 2, ``reference_size`` >= m, and each SIR bank
+    smaller than its pool (``_check_pool``)."""
     variant = VariantId.parse(variant)
     check_variant(variant, cfg.c)
     dim = transform_dim(transform, cfg.c, cfg.p)
@@ -246,10 +247,22 @@ def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
     if reference_size is not None and reference_size < m:
         raise ValueError(f"reference_size={reference_size} < m={m}: need m "
                          "distinct reference rows")
-    if pool is not None and pool < bank_size:
-        raise ValueError(f"pool={pool} < bank_size={bank_size}: the SIR bank "
-                         "needs bank_size distinct pool draws")
+    _check_pool("bank_size", bank_size, pool)
+    _check_pool("reference_size", reference_size, None)
     return variant
+
+
+def _check_pool(name: str, size: int | None, pool: int | None) -> None:
+    """Refuse a SIR bank of ``size`` rows no smaller than its pool (None:
+    the fixed ``asymptotics.SIR_POOL``): the bank needs a Kish effective
+    sample size of ``size``, which reaches the pool only if every importance
+    weight is equal."""
+    limit = asymptotics.SIR_POOL if pool is None else pool
+    if size is not None and size >= limit:
+        where = (f"pool={pool}" if pool is not None
+                 else f"{limit}, the fixed SIR pool of R and R' banks")
+        raise ValueError(f"{name}={size} >= {where}: a SIR bank needs a "
+                         "larger pool")
 
 
 def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
@@ -265,7 +278,9 @@ def estimate_Rprime(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
     it m steps, and evaluates m^{-1} sum_i d(F(s(0)), F(s(i))) on both the
     unlocalized and the sqrt(n)-localized scale.
     """
-    variant = check_settings(variant, cfg, transform, R, m=m)
+    variant = check_settings(
+        variant, cfg, transform, R, m=m,
+        bank_size=bank_size if start == "reference-posterior" else None)
     if start not in ("fixed", "reference-posterior"):
         raise ValueError(f"unknown start policy {start!r}; expected 'fixed' "
                          "or 'reference-posterior'")

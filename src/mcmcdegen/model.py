@@ -21,7 +21,6 @@ import math
 from pathlib import Path
 
 import numpy as np
-from scipy import integrate
 from scipy.special import ndtr
 
 from .sampling import RngStream, _any, _sum
@@ -277,6 +276,8 @@ def fisher_information(cfg: ModelConfig, theta: Theta, mc_size: int = 100_000,
     settings land in ``detail`` so reports can cite them. Raises
     NumericalFailure if the result is not positive definite beyond rounding.
     """
+    from scipy import integrate
+
     cfg.validate_theta(theta)
     d = cfg.dim
 
@@ -324,6 +325,8 @@ def scale_constants():
     The phi(z) dz weighting is what every downstream closed form needs; the
     unweighted integrals do not converge.
     """
+    from scipy import integrate
+
     def k_int(z):
         return (1.0 - z * z) ** 2 * float(_phi(z))
 
@@ -340,6 +343,8 @@ def scale_constants():
 def score_second_moment() -> float:
     """J0 = int (phi'(z)/phi(z))^2 phi(z) dz = 1, the per-draw latent score
     variance."""
+    from scipy import integrate
+
     val, err = integrate.quad(
         lambda z: z ** 2 * float(_phi(z)),
         -np.inf, np.inf, epsabs=_QUAD_TOL, epsrel=_QUAD_TOL,

@@ -1,5 +1,6 @@
 """Command-line behavior: subcommands, config handling, exit codes."""
 
+import hashlib
 import json
 import os
 import shutil
@@ -192,14 +193,23 @@ class TestErrors:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("argv, message", [
-        (["diagnose", "--opt", "pool=256"], "pool=256 < bank_size=512"),
+        (["diagnose", "--opt", "pool=256"], "bank_size=512 >= pool=256"),
         (["table1", "--opt", "bank_size=2048", "--opt", "pool=1024"],
-         "pool=1024 < bank_size=2048"),
-    ], ids=["diagnose", "table1"])
+         "bank_size=2048 >= pool=1024"),
+        (["diagnose", "--opt", "pool=512"], "bank_size=512 >= pool=512"),
+        (["diagnose", "--opt", "bank_size=9000", "--opt", "pool=20000"],
+         "bank_size=9000 >= 8192, the fixed SIR pool"),
+        (["diagnose", "--opt", "with_risk=true",
+          "--opt", "reference_size=9000"],
+         "reference_size=9000 >= 8192, the fixed SIR pool"),
+    ], ids=["diagnose", "table1", "diagnose-pool-equals-bank",
+            "rprime-bank-above-fixed-pool", "reference-above-fixed-pool"])
     def test_pool_below_bank_size_exits_2(self, tmp_path, capsys, argv,
                                           message):
-        """A SIR pool smaller than its bank can never give the bank its
-        distinct rows, so every cell would fail: exit 2, no output."""
+        """A SIR pool no larger than its bank (R' and R always draw from
+        8192) can never reach the bank's effective sample size, since Kish's
+        ESS equals the pool only under equal weights, so every cell would
+        fail: exit 2, no output."""
         code, _, err = _run(capsys, argv + ["--out", str(tmp_path / "o")])
         assert code == 2
         assert message in json.loads(err)["error"]["message"]
@@ -345,3 +355,66 @@ class TestEntryPoint:
             lines = proc.stdout.splitlines()
             assert len(lines) == 6, (flags, proc.stdout)
             assert all(line.startswith("PASS ") for line in lines), flags
+
+
+# scipy subpackages the kernels, figures and refusals never call; each is
+# imported inside the function that uses it
+_DEFERRED = ("scipy.stats", "scipy.optimize", "scipy.integrate",
+             "scipy.spatial", "mpmath")
+_SURFACE_SCRIPT = """
+import json, sys
+deferred = json.loads(sys.argv[1])
+out = sys.argv[2]
+
+def loaded():
+    return sorted(name for name in deferred if name in sys.modules)
+
+import mcmcdegen, mcmcdegen.cli
+seen = {"import": loaded()}
+from mcmcdegen import cli
+code = cli.main(["figure", "--scenario", "fig1", "--n", "40", "--m", "8",
+                 "--out", out + "/fig"])
+seen["figure"] = [code, loaded()]
+code = cli.main(["run-chain", "--variant", "beta", "--c", "3", "--n", "30",
+                 "--m", "5", "--out", out + "/chain"])
+seen["run-chain"] = [code, loaded()]
+print(json.dumps(seen))
+"""
+
+
+class TestColdStart:
+    def test_kernels_and_figures_load_no_deferred_subpackage(self, tmp_path):
+        """A fresh interpreter imports the package and runs a figure and a
+        chain without loading scipy's stats, optimize, integrate or spatial
+        (about half a second of start-up), or mpmath."""
+        proc = subprocess.run(
+            [sys.executable, "-c", _SURFACE_SCRIPT, json.dumps(_DEFERRED),
+             str(tmp_path)],
+            capture_output=True, text=True, env=_subprocess_env())
+        assert proc.returncode == 0, proc.stderr
+        seen = json.loads(proc.stdout.splitlines()[-1])
+        assert seen == {"import": [], "figure": [0, []],
+                        "run-chain": [0, []]}
+
+    def test_first_imports_on_two_threads_keep_bytes(self, tmp_path):
+        """The deferred imports run first on the pool threads, two cells at
+        once; a cold diagnose run with R writes the bytes of a one-thread
+        run."""
+        digests = {}
+        for threads in (1, 2):
+            out = tmp_path / f"t{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "mcmcdegen.cli", "diagnose",
+                 "--n", "40,60", "--m", "4", "--R", "2",
+                 "--threads", str(threads), "--out", str(out),
+                 "--opt", "inner=2", "--opt", "starts=2",
+                 "--opt", "bank_size=64", "--opt", "pool=512",
+                 "--opt", "with_risk=true", "--opt", "reference_size=64"],
+                capture_output=True, text=True, env=_subprocess_env())
+            assert proc.returncode == 0, proc.stderr
+            files = json.loads((out / "manifest.json").read_text())["files"]
+            digests[threads] = {
+                f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+                for f in files}
+        assert len(digests[1]) >= 3
+        assert digests[1] == digests[2]

@@ -79,7 +79,7 @@ class TestPlans:
         with pytest.raises(ValueError, match="unknown option 'bank_sz' for "
                            "diagnose; known: inner, starts, bank_size"):
             make_plan("diagnose", out_dir=str(out), n_list=(20,), m=2, R=2,
-                      options={"bank_sz": 64, "pool": 512, "inner": 2,
+                      options={"bank_sz": 64, "pool": 1024, "inner": 2,
                                "starts": 2})
         with pytest.raises(ValueError, match="unknown option 'theta0'"):
             make_plan("table1", out_dir=str(out), n_list=(20,), m=2, R=2,
@@ -87,8 +87,8 @@ class TestPlans:
         with pytest.raises(ValueError, match="known: none"):
             make_plan("fig1", out_dir=str(out), options={"pool": 256})
         assert not out.exists()
-        assert make_plan("diagnose", options={"pool": 512}).options == {
-            "pool": 512}
+        assert make_plan("diagnose", options={"pool": 1024}).options == {
+            "pool": 1024}
 
     @pytest.mark.parametrize("scenario, kw, message", [
         ("diagnose", dict(m=1), "need m >= 2"),
@@ -98,11 +98,24 @@ class TestPlans:
         ("diagnose", dict(variants=("binary-null",), c_list=(3,)),
          "binary kernels require c = 2"),
         ("fig1", dict(c_list=(3,)), "binary kernels require c = 2"),
-        ("diagnose", dict(options={"pool": 256}), "pool=256 < bank_size=512"),
+        ("diagnose", dict(options={"pool": 256}), "bank_size=512 >= pool=256"),
         ("table1", dict(options={"bank_size": 2048, "pool": 1024}),
-         "pool=1024 < bank_size=2048"),
+         "bank_size=2048 >= pool=1024"),
+        # Kish's ESS equals the pool only under equal weights
+        ("diagnose", dict(options={"pool": 512}), "bank_size=512 >= pool=512"),
+        # R' and R draw their banks from the fixed pool of 8192
+        ("diagnose", dict(options={"bank_size": 9000, "pool": 20000}),
+         "bank_size=9000 >= 8192, the fixed SIR pool"),
+        ("custom", dict(variants=("beta",), c_list=(3,), n_list=(50,),
+                        options={"bank_size": 8192, "pool": 16384}),
+         "bank_size=8192 >= 8192, the fixed SIR pool"),
+        ("diagnose", dict(options={"with_risk": True,
+                                   "reference_size": 9000}),
+         "reference_size=9000 >= 8192, the fixed SIR pool"),
     ], ids=["m-1", "m-above-reference", "R-1", "binary-c3", "fig1-c3",
-            "diagnose-pool-below-bank", "table1-pool-below-bank"])
+            "diagnose-pool-below-bank", "table1-pool-below-bank",
+            "diagnose-pool-equals-bank", "rprime-bank-above-fixed-pool",
+            "custom-rprime-bank-at-fixed-pool", "reference-above-fixed-pool"])
     def test_plan_no_cell_could_run_is_refused(self, scenario, kw, message):
         """A setting its cells' estimators would refuse at entry is refused
         by ``make_plan``, with their message, before any cell runs: these

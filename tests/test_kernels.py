@@ -198,7 +198,15 @@ class TestInitialState:
                           init="reference-posterior", reference=bank,
                           g_quantiles=q)
         expected = np.sqrt(gamma_dist.ppf(q, a=A0, scale=1 / B0))
-        assert np.allclose(s.g, expected)
+        assert s.g.tobytes() == expected.tobytes()
+        # 16 stratified quantiles, built as one_step_statistic builds them
+        u = RngStream(16).generator.random((1, 16))
+        q16 = ((np.arange(16)[None, :] + u) / 16).reshape(-1)
+        s16 = initial_state(cfg, VariantId.parse("null-ma"), 16, RngStream(15),
+                            init="reference-posterior", reference=bank,
+                            g_quantiles=q16)
+        expected16 = np.sqrt(gamma_dist.ppf(q16, a=A0, scale=1 / B0))
+        assert s16.g.tobytes() == expected16.tobytes()
         with pytest.raises(ValueError):
             initial_state(cfg, VariantId.parse("null-ma"), 8, RngStream(15),
                           init="reference-posterior", reference=bank,

@@ -514,9 +514,22 @@ class TestEntryChecks:
         (lambda: one_step_statistic(
             "beta", _C3["cfg"], 100, 4, "theta", 1, theta0=_C3["theta0"],
             datasets=2, inner=2, bank_size=512, pool=256),
-         "pool=256 < bank_size=512"),
+         "bank_size=512 >= pool=256"),
+        (lambda: one_step_statistic(
+            "beta", _C3["cfg"], 100, 4, "theta", 1, theta0=_C3["theta0"],
+            datasets=2, inner=2, bank_size=512, pool=512),
+         "bank_size=512 >= pool=512"),
+        (lambda: estimate_Rprime(
+            "beta", _C3["cfg"], n=50, m=6, R=2, master_seed=1,
+            theta0=_C3["theta0"], bank_size=8192),
+         "bank_size=8192 >= 8192, the fixed SIR pool"),
+        (lambda: estimate_R(
+            "null", _C3["cfg"], n=50, m=6, R=2, reference_size=9000,
+            master_seed=1, theta0=_C3["theta0"]),
+         "reference_size=9000 >= 8192, the fixed SIR pool"),
     ], ids=["ratio-at-c3", "coords", "binary-one-step", "binary-rprime",
-            "unknown-transform", "pool-below-bank"])
+            "unknown-transform", "pool-below-bank", "pool-equals-bank",
+            "rprime-bank-at-fixed-pool", "reference-above-fixed-pool"])
     def test_refused_before_any_work(self, calls, run, message):
         with pytest.raises(ValueError) as err:
             run()
