@@ -351,6 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Gibbs samplers for probit/cumulative-link models and "
                     "local consistency/degeneracy diagnostics.")
     sub = parser.add_subparsers(dest="command", required=True)
+    helps = {"threads": "cells run at once, each in a worker process forked "
+                        "from this one (Linux); 1 (the default) runs them "
+                        "in this process"}
 
     def common(sp, *names):
         sp.add_argument("--config", help="JSON config file; flags override")
@@ -361,7 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
         for name in names:
             # --n and --c are comma lists on the plan commands
             kind = int if name in ("m", "R", "p", "threads") else str
-            sp.add_argument(f"--{name}", type=kind)
+            sp.add_argument(f"--{name}", type=kind, help=helps.get(name))
 
     sp = sub.add_parser("gen-data", help="sample a dataset to CSV")
     common(sp, "n", "c", "p")

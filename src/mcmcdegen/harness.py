@@ -1,20 +1,23 @@
-"""Experiment harness: plans, threaded execution, and deterministic outputs.
+"""Experiment harness: plans, parallel execution, and deterministic outputs.
 
 A plan names a scenario and pins every knob that affects the numbers,
 plus a master seed; ``make_plan`` overlays the caller's choices on the
-scenario's default grid. Every scenario runs one cell per (variant, c, n)
-and differs only in what a cell computes (a recorded chain for the
-figures, statistics for table1, diagnose and custom) and in the summary
-built from the cells (``_GRID_JOBS``). The true parameters and the
-figures' displaced starts are fixed designs (``DEFAULT_THETA0``,
-``ORDINAL_TRACE_START``); ``SCENARIO_OPTIONS`` lists the few estimator
-settings a plan may carry. ``make_plan`` runs its cells' entry checks
-(``metrics.check_settings``, ``kernels.check_variant``) before any work.
+scenario's default grid. Every scenario runs one cell per (variant, c, n),
+and diagnose and custom one per (variant, c, n, statistic); the scenarios
+differ only in what a cell computes (a recorded chain for the figures,
+statistics for table1, diagnose and custom) and in the summary built from
+the cells (``_REDUCERS``). The true parameters and the figures' displaced
+starts are fixed designs (``DEFAULT_THETA0``, ``ORDINAL_TRACE_START``);
+``SCENARIO_OPTIONS`` lists the few estimator settings a plan may carry.
+``make_plan`` runs its cells' entry checks (``metrics.check_settings``,
+``kernels.check_variant``) before any work.
 
-Each cell runs on a thread pool and writes its own files, whose names and
-bytes depend only on the cell. A manifest records the resolved
-configuration, per-cell timings and the sha256 of every file written; it
-is saved as each cell finishes, so a run that stops partway keeps its
+Cells run ``plan.threads`` at a time in worker processes forked from the
+caller (Linux), or in the calling process when one runs at a time, and
+each cell writes one file, whose name and bytes depend only on the cell.
+A manifest records the resolved configuration, per-cell timings and the
+sha256 of every file written; the calling process alone records the cells
+and saves it as each cell finishes, so a run that stops partway keeps its
 finished cells. The summary (figure or table) is always built from the
 cell files read back from disk. Re-running a plan skips every cell whose
 files still carry their recorded digests.
@@ -25,10 +28,13 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import itertools
 import json
+import multiprocessing
+import signal
 import time
-import threading
-from concurrent.futures import ThreadPoolExecutor, as_completed
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -238,7 +244,7 @@ class RunManifest:
 
 # --------------------------------------------------------------------------
 # cells: _grid_cells pairs each key with a task() -> payload, built from
-# a scenario's cell body; _cell_files writes the payload, _read_cell reads
+# the plan's cell bodies; _cell_files writes the payload, _read_cell reads
 # it back for the scenario's reducer.
 
 def _model(plan: ExperimentPlan, c: int) -> ModelConfig:
@@ -258,9 +264,12 @@ def _reference_rows(plan: ExperimentPlan) -> int | None:
     return opts.get("reference_size", 512) if opts.get("with_risk") else None
 
 
-def _grid_cells(plan: ExperimentPlan, body):
-    """One cell per (variant, c, n), seeded by its own stream; the cell
+def _grid_cells(plan: ExperimentPlan):
+    """One cell per (variant, c, n) and body of ``_cell_bodies``, keyed
+    ``{scenario}/{variant}/c{c}/n{n}`` plus ``/{stat}`` for a named body;
+    the bodies of one (variant, c, n) share its stream's seed, and a cell
     runs ``body(plan, variant, cfg, theta0, n, transform, seed)``."""
+    bodies = _cell_bodies(plan)
     cells = []
     for c in plan.c_list:
         cfg = _model(plan, c)
@@ -270,9 +279,12 @@ def _grid_cells(plan: ExperimentPlan, body):
             for n in plan.n_list:
                 seed = RngStream(plan.master_seed, plan.scenario, variant.name,
                                  c, n).seed_int()
-                cells.append((f"{plan.scenario}/{variant.name}/c{c}/n{n}",
-                              functools.partial(body, plan, variant, cfg,
-                                                theta0, n, transform, seed)))
+                key = f"{plan.scenario}/{variant.name}/c{c}/n{n}"
+                for stat, body in bodies.items():
+                    cells.append((f"{key}/{stat}" if stat else key,
+                                  functools.partial(body, plan, variant, cfg,
+                                                    theta0, n, transform,
+                                                    seed)))
     return cells
 
 
@@ -297,20 +309,38 @@ def _table1_cell(plan, variant, cfg, theta0, n, transform, seed):
         starts=opts.get("starts", 16), **_sir_sizes(plan))
 
 
-def _diagnose_cell(plan, variant, cfg, theta0, n, transform, seed):
+def _one_step_cell(plan, variant, cfg, theta0, n, transform, seed):
     opts = plan.options
-    sizes = _sir_sizes(plan)
-    out = {"one_step": one_step_statistic(
+    return one_step_statistic(
         variant, cfg, n, plan.R, transform, seed, theta0=theta0,
-        inner=opts.get("inner", 12), starts=opts.get("starts", 4), **sizes)}
-    out["risk_prime"] = estimate_Rprime(
+        inner=opts.get("inner", 12), starts=opts.get("starts", 4),
+        **_sir_sizes(plan))
+
+
+def _risk_prime_cell(plan, variant, cfg, theta0, n, transform, seed):
+    return estimate_Rprime(
         variant, cfg, n, plan.m, plan.R, seed, theta0=theta0,
-        transform=transform, bank_size=sizes["bank_size"])
+        transform=transform, bank_size=_sir_sizes(plan)["bank_size"])
+
+
+def _risk_cell(plan, variant, cfg, theta0, n, transform, seed):
+    return estimate_R(
+        variant, cfg, n, plan.m, plan.R, _reference_rows(plan), seed,
+        theta0=theta0, transform=transform)
+
+
+def _cell_bodies(plan: ExperimentPlan) -> dict:
+    """A plan's cell bodies by key suffix: one unnamed body for a figure or
+    table1, one per statistic for diagnose and custom (R only when the plan
+    carries a reference size)."""
+    if plan.scenario in _FIGURES:
+        return {"": _trace_cell}
+    if plan.scenario == "table1":
+        return {"": _table1_cell}
+    bodies = {"one_step": _one_step_cell, "risk_prime": _risk_prime_cell}
     if _reference_rows(plan) is not None:
-        out["risk"] = estimate_R(
-            variant, cfg, n, plan.m, plan.R, _reference_rows(plan), seed,
-            theta0=theta0, transform=transform)
-    return out
+        bodies["risk"] = _risk_cell
+    return bodies
 
 
 # --------------------------------------------------------------------------
@@ -318,36 +348,24 @@ def _diagnose_cell(plan, variant, cfg, theta0, n, transform, seed):
 
 def _cell_files(plan: ExperimentPlan, key: str, payload,
                 out_dir: Path) -> list[str]:
-    """Write one finished cell's own files; their names and bytes depend
-    only on the cell."""
-    if plan.scenario == "table1":
-        fname = key.replace("/", "_") + ".json"
-        payload.save(out_dir / fname)
-        return [fname]
+    """Write one finished cell's file; its name and bytes depend only on
+    the cell."""
     if plan.scenario in _FIGURES:
         trace = payload["trace"]
         fname = trace_filename(trace.variant, payload["n"])
         trace.save(out_dir / fname)
         return [fname]
-    files = []
-    for stat, rep in sorted(payload.items()):
-        fname = f"{key.replace('/', '_')}_{stat}.json"
-        rep.save(out_dir / fname)
-        files.append(fname)
-    return files
+    fname = key.replace("/", "_") + ".json"
+    payload.save(out_dir / fname)
+    return [fname]
 
 
-def _read_cell(plan: ExperimentPlan, key: str, files: list[str],
-               out_dir: Path):
-    """Read a finished cell back from the files ``_cell_files`` wrote:
-    trace columns, a report, or a report per statistic."""
+def _read_cell(plan: ExperimentPlan, files: list[str], out_dir: Path):
+    """Read a finished cell back from the file ``_cell_files`` wrote:
+    trace columns or a report."""
     if plan.scenario in _FIGURES:
         return load_trace(out_dir / files[0])
-    if plan.scenario == "table1":
-        return DiagnosticsReport.load(out_dir / files[0])
-    prefix = key.replace("/", "_") + "_"
-    return {f[len(prefix):-len(".json")]: DiagnosticsReport.load(out_dir / f)
-            for f in files}
+    return DiagnosticsReport.load(out_dir / files[0])
 
 
 def emit_figure(plan: ExperimentPlan, traces: dict,
@@ -433,40 +451,119 @@ def _reduce_table1(plan: ExperimentPlan, reports: dict,
     return ["table1.csv", "table1.json"]
 
 
-def _reduce_diagnose(plan: ExperimentPlan, stats: dict,
+def _reduce_diagnose(plan: ExperimentPlan, reports: dict,
                      out_dir: Path) -> list[str]:
     rows = ["variant,c,n,statistic,value,se"]
-    for key in sorted(stats):
-        _, name, ctag, ntag = key.split("/")
-        for stat, rep in sorted(stats[key].items()):
-            for est in sorted(rep.estimates):
-                rows.append(f"{name},{ctag[1:]},{ntag[1:]},{stat}:{est},"
-                            f"{rep.value(est):.17g},{rep.se(est):.17g}")
+    # by (variant, c, n) and then statistic, so n60 comes before n600
+    for key in sorted(reports, key=lambda k: k.rsplit("/", 1)):
+        _, name, ctag, ntag, stat = key.split("/")
+        rep = reports[key]
+        for est in sorted(rep.estimates):
+            rows.append(f"{name},{ctag[1:]},{ntag[1:]},{stat}:{est},"
+                        f"{rep.value(est):.17g},{rep.se(est):.17g}")
     (out_dir / "diagnostics.csv").write_text("\n".join(rows) + "\n")
     return ["diagnostics.csv"]
 
 
-#: Each scenario's cell body and the reducer that builds its summary.
-_GRID_JOBS = {**{fig: (_trace_cell, emit_figure) for fig in _FIGURES},
-              "table1": (_table1_cell, _reduce_table1),
-              "diagnose": (_diagnose_cell, _reduce_diagnose),
-              "custom": (_diagnose_cell, _reduce_diagnose)}
+#: The reducer that builds each scenario's summary from its cells.
+_REDUCERS = {**dict.fromkeys(_FIGURES, emit_figure),
+             "table1": _reduce_table1, "diagnose": _reduce_diagnose,
+             "custom": _reduce_diagnose}
 
 
 # --------------------------------------------------------------------------
+# execution
+
+#: In a forked worker, the parent's cell runner (``key -> (files, error,
+#: seconds)``), set by ``_start_worker``.
+_worker_run = None
+
+
+def _start_worker(run) -> None:
+    """Initialise a forked worker with the cell runner, which fork copies
+    without pickling. The worker ignores SIGINT: on an interrupt the
+    parent stops handing out cells and records those that still finish."""
+    global _worker_run
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _worker_run = run
+
+
+def _worker_cell(key: str):
+    return _worker_run(key)
+
+
+def _import_deferred(plan: ExperimentPlan) -> None:
+    """Import, once before forking, the scipy subpackages that the plan's
+    cells would otherwise import again in every worker: stats and optimize
+    for the SIR banks, and spatial for R's assignment. Figures need none."""
+    if plan.scenario in _FIGURES:
+        return
+    from scipy import optimize, stats  # noqa: F401
+    if _reference_rows(plan) is not None:
+        from scipy import spatial  # noqa: F401
+
+
+def _run_forked(pending: list[str], workers: int, run, record,
+                mpath: Path) -> None:
+    """Run the ``pending`` cells ``workers`` at a time in forked worker
+    processes and ``record`` each ``run(key)`` outcome here as it arrives.
+
+    The fork start method copies ``run``, a closure over the plan's cells,
+    into each worker without pickling, so a worker gets only a key and
+    returns only the outcome. (Fork is unsafe in a process running other
+    threads; the executor forks every worker before it starts its own.) A
+    new cell is handed out only as one finishes: after an exception no cell
+    starts, and the running ones are recorded when they finish, so every
+    cell file on disk stays in the manifest.
+    """
+    queue = iter(pending)
+    running: dict = {}
+    pool = ProcessPoolExecutor(
+        workers, mp_context=multiprocessing.get_context("fork"),
+        initializer=_start_worker, initargs=(run,))
+
+    def submit(key):
+        running[pool.submit(_worker_cell, key)] = key
+
+    try:
+        for key in itertools.islice(queue, workers):
+            submit(key)
+        while running:
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                outcome = future.result()  # a worker's death raises here
+                record(running.pop(future), *outcome)
+                for key in itertools.islice(queue, 1):
+                    submit(key)
+    except BrokenProcessPool as exc:
+        left = sorted([*running.values(), *queue])
+        raise RuntimeError(
+            f"a worker process died; unfinished cells: {', '.join(left)}; "
+            f"finished cells are in {mpath}") from exc
+    finally:
+        pool.shutdown()
+        for future, key in running.items():
+            if future.exception() is None:
+                record(key, *future.result())
+
 
 def orchestrate(plan: ExperimentPlan) -> RunManifest:
     """Run every pending cell of a plan, then rebuild its summary.
 
-    Cells run on a pool of ``plan.threads`` threads and each writes its own
-    files; the manifest records a cell's files and their sha256 and is
-    saved as each cell finishes, in whatever order, so a run that stops
-    partway keeps every finished cell. A cell is pending unless an existing
-    manifest with the same configuration lists files that still carry their
-    digests. The summary (figure or table) is read back from the cell files
-    on disk and rebuilt whenever a cell ran or its own files fail that
-    check, so the outputs are byte-identical for any thread count and any
-    resume.
+    Up to ``plan.threads`` cells run at once, each in a worker process
+    forked from this one; with one at a time (``threads=1`` or a single
+    pending cell) they run here, in the plan's cell order. Each cell writes
+    its own file, and this process alone records the file and its sha256
+    in the manifest, saved as each cell finishes, in whatever order, so a
+    run that stops partway keeps every finished cell. On an interrupt or a
+    cell's ``BaseException``, no further cell starts and the running ones
+    are recorded when they finish; a worker that dies ends the run with a
+    ``RuntimeError`` naming the unfinished cells. A cell is pending unless
+    an existing manifest with the same configuration lists files that
+    still carry their digests. The summary (figure or table) is read back
+    from the cell files on disk and rebuilt whenever a cell ran or its own
+    files fail that check, so the outputs are byte-identical for any
+    thread count and any resume.
     """
     from . import __version__
 
@@ -484,39 +581,35 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
         if old and old.config == manifest.config:
             manifest = old
 
-    body, reduce_cells = _GRID_JOBS[plan.scenario]
-    cells, summary = _grid_cells(plan, body), f"{plan.scenario}/summary"
-
-    pending = [(k, t) for k, t in cells
-               if not manifest.cell_done(k, out_dir)]
-
+    cells, summary = _grid_cells(plan), f"{plan.scenario}/summary"
+    tasks = dict(cells)
+    pending = [k for k, _ in cells if not manifest.cell_done(k, out_dir)]
     failures: dict = {}
-    lock = threading.Lock()
 
-    def run(key, task):
+    def run(key):
         t0 = time.perf_counter()
         try:
-            files, err = _cell_files(plan, key, task(), out_dir), None
+            files, err = _cell_files(plan, key, tasks[key](), out_dir), None
         except Exception as exc:  # isolate the cell; recorded below
             files, err = None, exc
-        dt = time.perf_counter() - t0
-        with lock:
-            if err is None:
-                manifest.record(key, out_dir, files=files, seconds=dt)
-            else:
-                failures[key] = err
-                manifest.record(key, out_dir, seconds=dt,
-                                error=f"{type(err).__name__}: {err}")
-            manifest.save(mpath)
+        return files, err, time.perf_counter() - t0
 
-    pool = ThreadPoolExecutor(max_workers=plan.threads)
-    try:
-        for future in as_completed([pool.submit(run, *c) for c in pending]):
-            future.result()  # a cell's KeyboardInterrupt surfaces here
-    finally:
-        # Cells not yet started are dropped; running ones finish and
-        # record themselves.
-        pool.shutdown(cancel_futures=True)
+    def record(key, files, err, seconds):
+        if err is None:
+            manifest.record(key, out_dir, files=files, seconds=seconds)
+        else:
+            failures[key] = err
+            manifest.record(key, out_dir, seconds=seconds,
+                            error=f"{type(err).__name__}: {err}")
+        manifest.save(mpath)
+
+    workers = min(plan.threads, len(pending))
+    if workers <= 1:
+        for key in pending:
+            record(key, *run(key))
+    else:
+        _import_deferred(plan)
+        _run_forked(pending, workers, run, record, mpath)
     if failures:
         names = ", ".join(sorted(failures))
         first = failures[sorted(failures)[0]]
@@ -526,10 +619,9 @@ def orchestrate(plan: ExperimentPlan) -> RunManifest:
             f"{mpath}") from first
 
     if pending or not manifest.cell_done(summary, out_dir):
-        found = {key: _read_cell(plan, key, manifest.cells[key]["files"],
-                                 out_dir) for key, _ in cells}
-        files = reduce_cells(plan, found, out_dir)
+        found = {key: _read_cell(plan, manifest.cells[key]["files"], out_dir)
+                 for key, _ in cells}
+        files = _REDUCERS[plan.scenario](plan, found, out_dir)
         manifest.record(summary, out_dir, files=files)
         manifest.save(mpath)
     return manifest
-

@@ -243,10 +243,10 @@ class TestErrors:
         assert code == 1
         error = json.loads(err)["error"]
         assert error["type"] == "RuntimeError"
-        assert "1 of 1 cells failed" in error["message"]
+        assert "1 of 2 cells failed" in error["message"]
         assert str(tmp_path / "manifest.json") in error["message"]
         cell = json.loads((tmp_path / "manifest.json").read_text())[
-            "cells"]["diagnose/binary-null/c2/n20"]
+            "cells"]["diagnose/binary-null/c2/n20/one_step"]
         assert cell["error"] == "ValueError: synthetic cell failure"
 
     def test_bad_figure_scenario(self, tmp_path, capsys):
@@ -397,9 +397,9 @@ class TestColdStart:
                         "run-chain": [0, []]}
 
     def test_first_imports_on_two_threads_keep_bytes(self, tmp_path):
-        """The deferred imports run first on the pool threads, two cells at
-        once; a cold diagnose run with R writes the bytes of a one-thread
-        run."""
+        """A cold diagnose run with R on two worker processes, which the
+        parent forks after importing the deferred subpackages, writes the
+        bytes of a one-thread run, which imports them at its first call."""
         digests = {}
         for threads in (1, 2):
             out = tmp_path / f"t{threads}"

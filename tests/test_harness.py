@@ -1,10 +1,11 @@
-"""Experiment plans, threaded orchestration, and reproducible outputs."""
+"""Experiment plans, parallel orchestration, and reproducible outputs."""
 
 import dataclasses
 import hashlib
 import json
+import multiprocessing
+import os
 import sys
-import threading
 
 import pytest
 
@@ -192,9 +193,9 @@ class TestDeterminism:
             tmp_path / "b", m2)
 
     def test_many_threads_record_every_cell(self, tmp_path):
-        """Sixteen short cells on four threads with a tiny switch interval:
-        cells record themselves from the pool threads, so a lost update
-        would drop a cell or a digest from the manifest."""
+        """Sixteen short cells on four workers with a tiny switch interval:
+        the cells finish in any order, so a lost update would drop a cell
+        or a digest from the manifest."""
         plan = make_plan("fig1", out_dir=str(tmp_path), threads=4, m=3,
                          n_list=tuple(range(30, 38)))
         interval = sys.getswitchinterval()
@@ -212,6 +213,42 @@ class TestDeterminism:
                 (tmp_path / name).read_bytes()).hexdigest() == digest
         assert RunManifest.load(tmp_path / "manifest.json").files == (
             manifest.files)
+
+    # sha256 of diagnostics.csv for _ORDER_PLAN, recorded when one diagnose
+    # cell computed every statistic of its (variant, c, n) in one thread
+    ORDER_CSV_SHA256 = ("8287a85187c4793b3941c5df637d5482"
+                        "32568ee569c5f2513929c6bc11506b0a")
+
+    @pytest.mark.parametrize("threads", [1, 2, 3])
+    def test_summary_rows_keep_their_order(self, tmp_path, threads):
+        """The statistics of a (variant, c, n) are cells of their own and
+        finish in any order; the summary still lists them by key and then
+        statistic, n60 before n600, with the bytes it always had."""
+        manifest = orchestrate(make_plan(
+            "diagnose", out_dir=str(tmp_path), threads=threads,
+            **dict(_SMALL_DIAG, n_list=(60, 600), options=dict(
+                _SMALL_DIAG["options"], with_risk=True,
+                reference_size=128))))
+        assert manifest.files["diagnostics.csv"] == self.ORDER_CSV_SHA256
+        rows = (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]
+        assert [row.split(",")[2] for row in rows] == ["60"] * 5 + ["600"] * 5
+        assert len(manifest.cells) == 2 * 3 + 1
+
+    def test_one_cell_at_a_time_runs_in_process(self, tmp_path, monkeypatch):
+        """threads=1, or a single pending cell, forks no worker: the cells
+        run in this process, where a profiler or a tracer sees them."""
+        import mcmcdegen.harness as harness_mod
+
+        def no_fork(*args, **kw):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(harness_mod, "ProcessPoolExecutor", no_fork)
+        m1 = orchestrate(make_plan("diagnose", out_dir=str(tmp_path),
+                                   threads=1, **_SMALL_DIAG))
+        (tmp_path / _first_cell_file(m1)).unlink()
+        m2 = orchestrate(make_plan("diagnose", out_dir=str(tmp_path),
+                                   threads=4, **_SMALL_DIAG))
+        assert m2.files == m1.files
 
 
 class TestResume:
@@ -285,16 +322,17 @@ class TestResume:
 
     def test_interrupt_keeps_cells_finished_out_of_order(self, tmp_path,
                                                          monkeypatch):
-        """On two threads the first cell is interrupted once the third has
-        started: every cell file on disk is in the manifest with its
-        sha256, the cells still queued never start, and a resume recomputes
-        exactly the cells that left no files. Which running cells finish
-        depends on timing, so the property is checked, not a list."""
+        """On two workers the first cell is interrupted (in its worker) once
+        n = 100's first cell has started: every cell file on disk is in the
+        manifest with its sha256, the cells still queued never start, and a
+        resume recomputes exactly the cells that left no file. Which
+        running cells finish depends on timing, so the property is checked,
+        not a list."""
         import mcmcdegen.harness as harness_mod
 
         real = one_step_statistic
-        third_started = threading.Event()
-        calls = []
+        # the cells run in forked workers, so the signal must cross processes
+        third_started = multiprocessing.get_context("fork").Event()
 
         def interrupted(variant, cfg, n, R, transform, seed, **kw):
             if n == 60:
@@ -304,12 +342,11 @@ class TestResume:
                 third_started.set()
             return real(variant, cfg, n, R, transform, seed, **kw)
 
-        def counting(variant, cfg, n, R, transform, seed, **kw):
-            calls.append(n)
-            return real(variant, cfg, n, R, transform, seed, **kw)
-
         plan = make_plan("diagnose", out_dir=str(tmp_path), threads=2,
                          **dict(_SMALL_DIAG, n_list=(60, 80, 100, 120, 140)))
+        cell_files = [f"diagnose_binary-null_c2_n{n}_{stat}.json"
+                      for n in plan.n_list for stat in ("one_step",
+                                                        "risk_prime")]
         monkeypatch.setattr(harness_mod, "one_step_statistic", interrupted)
         with pytest.raises(KeyboardInterrupt):
             orchestrate(plan)
@@ -317,13 +354,56 @@ class TestResume:
         on_disk = {f.name: hashlib.sha256(f.read_bytes()).hexdigest()
                    for f in tmp_path.glob("diagnose_*.json")}
         assert on_disk == recorded["files"]
-        missing = [n for n in plan.n_list if not any(
-            f"_n{n}_" in name for name in on_disk)]
-        assert 60 in missing and 140 in missing
+        missing = [f for f in cell_files if f not in on_disk]
+        assert "diagnose_binary-null_c2_n60_one_step.json" in missing
+        assert {"diagnose_binary-null_c2_n140_one_step.json",
+                "diagnose_binary-null_c2_n140_risk_prime.json"} <= set(missing)
 
-        monkeypatch.setattr(harness_mod, "one_step_statistic", counting)
+        # the resume runs in workers too: count recomputed cells by the
+        # files it wrote, which are the only ones whose mtime moves
+        stamp = {f: (tmp_path / f).stat().st_mtime_ns for f in on_disk}
+        monkeypatch.setattr(harness_mod, "one_step_statistic", real)
         orchestrate(plan)
-        assert sorted(calls) == missing
+        rewritten = [f for f in cell_files
+                     if (tmp_path / f).stat().st_mtime_ns != stamp.get(f)]
+        assert rewritten == missing
+
+    def test_dead_worker_keeps_finished_cells(self, tmp_path, monkeypatch):
+        """A worker that exits mid-cell ends the run with a RuntimeError
+        naming the unfinished cells; the finished cells stay recorded with
+        their sha256, and a resume rebuilds the missing files byte for
+        byte."""
+        import mcmcdegen.harness as harness_mod
+
+        grid = dict(_SMALL_DIAG, n_list=(60, 80))
+        clean = orchestrate(make_plan("diagnose",
+                                      out_dir=str(tmp_path / "clean"), **grid))
+        real, parent = one_step_statistic, os.getpid()
+
+        def dying(variant, cfg, n, R, transform, seed, **kw):
+            if n == 80 and os.getpid() != parent:  # never this process
+                os._exit(3)
+            return real(variant, cfg, n, R, transform, seed, **kw)
+
+        out = tmp_path / "run"
+        plan = make_plan("diagnose", out_dir=str(out), threads=2, **grid)
+        monkeypatch.setattr(harness_mod, "one_step_statistic", dying)
+        with pytest.raises(RuntimeError, match="a worker process died; "
+                           "unfinished cells: .*c2/n80/one_step"):
+            orchestrate(plan)
+        recorded = RunManifest.load(out / "manifest.json")
+        assert recorded.files
+        assert "diagnose_binary-null_c2_n80_one_step.json" not in (
+            recorded.files)
+        for name, digest in recorded.files.items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == (
+                digest)
+
+        monkeypatch.setattr(harness_mod, "one_step_statistic", real)
+        resumed = orchestrate(plan)
+        assert resumed.files == clean.files
+        assert _files_bytes(out, resumed) == _files_bytes(tmp_path / "clean",
+                                                          clean)
 
     def test_changed_config_recomputes(self, tmp_path):
         orchestrate(make_plan("fig1", out_dir=str(tmp_path), n_list=(40,),
@@ -341,7 +421,7 @@ class TestCustomScenario:
                          variants=("binary-null",), c_list=(2,),
                          **_SMALL_DIAG)
         manifest = orchestrate(plan)
-        assert "custom/binary-null/c2/n60" in manifest.cells
+        assert "custom/binary-null/c2/n60/one_step" in manifest.cells
         assert manifest.cells["custom/summary"]["files"] == [
             "diagnostics.csv"]
         assert (tmp_path / "custom_binary-null_c2_n60_one_step.json"
@@ -366,14 +446,14 @@ class TestFailureRecords:
         monkeypatch.setattr(harness_mod, "one_step_statistic", flaky)
         opts = dict(_SMALL_DIAG, n_list=(60, 80))
         plan = make_plan("diagnose", out_dir=str(tmp_path), **opts)
-        with pytest.raises(RuntimeError, match="1 of 2 cells failed"):
+        with pytest.raises(RuntimeError, match="1 of 4 cells failed"):
             orchestrate(plan)
 
         manifest = RunManifest.load(tmp_path / "manifest.json")
-        bad = manifest.cells["diagnose/binary-null/c2/n80"]
+        bad = manifest.cells["diagnose/binary-null/c2/n80/one_step"]
         assert bad["error"] == "ValueError: synthetic cell failure"
         assert "files" not in bad
-        good = manifest.cells["diagnose/binary-null/c2/n60"]
+        good = manifest.cells["diagnose/binary-null/c2/n60/one_step"]
         assert good["files"] and all(
             (tmp_path / f).exists() for f in good["files"])
         assert not (tmp_path / "diagnostics.csv").exists()
@@ -382,9 +462,34 @@ class TestFailureRecords:
         # reruns, and the summary covers the reloaded cell too
         monkeypatch.setattr(harness_mod, "one_step_statistic", real)
         m2 = orchestrate(plan)
-        assert "error" not in m2.cells["diagnose/binary-null/c2/n80"]
+        assert "error" not in m2.cells["diagnose/binary-null/c2/n80/one_step"]
         rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
         assert {row.split(",")[2] for row in rows[1:]} == {"60", "80"}
+
+    def test_failed_cell_in_a_worker_recorded(self, tmp_path, monkeypatch):
+        """A cell that raises in its worker fails the run as in-process:
+        its error is recorded, and so is every other cell."""
+        import mcmcdegen.harness as harness_mod
+
+        real = one_step_statistic
+
+        def flaky(variant, cfg, n, R, transform, seed, **kw):
+            if n == 80:
+                raise ValueError("synthetic cell failure")
+            return real(variant, cfg, n, R, transform, seed, **kw)
+
+        monkeypatch.setattr(harness_mod, "one_step_statistic", flaky)
+        plan = make_plan("diagnose", out_dir=str(tmp_path), threads=3,
+                         **dict(_SMALL_DIAG, n_list=(60, 80)))
+        with pytest.raises(RuntimeError, match="1 of 4 cells failed") as err:
+            orchestrate(plan)
+        assert isinstance(err.value.__cause__, ValueError)
+        manifest = RunManifest.load(tmp_path / "manifest.json")
+        bad = manifest.cells.pop("diagnose/binary-null/c2/n80/one_step")
+        assert bad["error"] == "ValueError: synthetic cell failure"
+        assert len(manifest.files) == 3
+        assert all(cell["files"] and "seconds" in cell
+                   for cell in manifest.cells.values())
 
     def test_failed_rerun_leaves_no_stale_digest(self, tmp_path,
                                                  monkeypatch):
