@@ -15,9 +15,12 @@ whole replicate set advances under one RNG stream, making results
 independent of how work is scheduled across threads. A batch of one chain
 (a reference chain, a figure's trace, an R or R' chain) takes
 ``_sweep_one``: the same bits, without numpy's per-call cost on (1, .)
-arrays. ``run_chain`` is the one driver of a batch; ``apply_transform``
-evaluates the named functionals of the state (raw, identified, cut points,
-cut ratios) on its records.
+arrays. Every array of truncated-normal windows, of a batch or of one
+chain, enters through ``_draw_window``: the in-place bulk draw first, then
+the array path for tails, then the elementwise rescue. ``run_chain`` is
+the one driver of a batch; ``apply_transform`` evaluates the named
+functionals of the state (raw, identified, cut points, cut ratios) on its
+records.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ class _Prepared:
     below: np.ndarray        # y - 1: column of each row's lower cut-point
     cut_rows: tuple          # per free cut-point j: rows with y == j, y == j + 1
     chol: np.ndarray         # lower Cholesky factor of X'X + I / sigma_beta^2
-    template: np.ndarray     # the c + 1 cut-points, free ones 0; copied per sweep
+    template: np.ndarray     # the c + 1 cut-points, free ones 0
 
 
 def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
@@ -131,37 +134,46 @@ def _prepared(cfg: ModelConfig, data: Dataset) -> _Prepared:
     return prep
 
 
-def _full_cuts_batch(state: ChainState, c: int) -> np.ndarray:
-    cuts = np.empty((state.batch, c + 1))
-    cuts[:, 0] = -np.inf
-    cuts[:, 1] = 0.0
-    cuts[:, 2:c] = state.alpha
-    cuts[:, c] = np.inf
-    return cuts
+def _latent_windows(alpha: np.ndarray, prep: _Prepared, data: Dataset,
+                    bx=None):
+    """Each row's latent window (a^{y-1}, a^y] at the free cut-points
+    ``alpha``, a (B, c - 2) or one chain's (c - 2,) array: a take on the
+    last axis of the full cut-points. ``bx`` is added in place when given,
+    as the null parameterization needs."""
+    cuts = np.empty(alpha.shape[:-1] + prep.template.shape)
+    cuts[...] = prep.template
+    cuts[..., 2:-1] = alpha
+    lo = cuts.take(prep.below, axis=-1)
+    hi = cuts.take(data.y, axis=-1)
+    if bx is not None:
+        lo += bx
+        hi += bx
+    return lo, hi
 
 
 def draw_latent(cfg: ModelConfig, data: Dataset, state: ChainState,
                 variant: VariantId, rng: RngStream) -> np.ndarray:
     """Refresh the latent block z | theta, g for every chain in the batch."""
-    cuts = _full_cuts_batch(state, cfg.c)
+    null = variant.parameterization == "null"
     bx = state.beta @ data.x.T
-    lo = cuts[:, _prepared(cfg, data).below]
-    hi = cuts[:, data.y]
-    if variant.parameterization == "null":
-        lo = lo + bx
-        hi = hi + bx
-        mean = 0.0
-    else:
-        mean = -bx
-    z = _draw_window(mean, (1.0 / state.g)[:, None], lo, hi, rng)
-    state.z = z
-    return z
+    lo, hi = _latent_windows(state.alpha, _prepared(cfg, data), data,
+                             bx if null else None)
+    state.z = _draw_window(None if null else -bx, (1.0 / state.g)[:, None],
+                           lo, hi, rng)
+    return state.z
 
 
 def _draw_window(mean, sd, lo, hi, rng: RngStream) -> np.ndarray:
-    """``truncated_normal_vec``, falling back to ``_draw_careful`` when a
-    window carries no double mass: a latent window far in the tail, or a
-    shut window that ``_ensure_open`` opened by one ulp in the bulk."""
+    """``truncated_normal_vec`` at ``mean`` (None is 0.0): ``_bulk_windows``
+    where it accepts the windows, else the array path, which draws the
+    tails. A window that carries no double mass goes to ``_draw_careful``:
+    a latent window far in the tail, or a shut window that ``_ensure_open``
+    opened by one ulp in the bulk."""
+    z = _bulk_windows(mean, sd, lo, hi, rng.generator)
+    if z is not None:
+        return z
+    if mean is None:
+        mean = 0.0
     try:
         return truncated_normal_vec(mean, sd, lo, hi, rng)
     except DegenerateIntervalError:
@@ -209,7 +221,7 @@ def _scan_alpha(cfg: ModelConfig, data: Dataset, state: ChainState,
         if col < last:
             hi = np.minimum(hi, state.alpha[:, col + 1])
         lo, hi = _ensure_open(lo, hi)
-        state.alpha[:, col] = _draw_window(0.0, sd, lo, hi, rng)
+        state.alpha[:, col] = _draw_window(None, sd, lo, hi, rng)
 
 
 def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
@@ -220,9 +232,7 @@ def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
     with the other coordinates held the window divides through by
     x_{ik} > 0.
     """
-    cuts = _full_cuts_batch(state, cfg.c)
-    au = cuts[:, data.y]
-    al = cuts[:, _prepared(cfg, data).below]
+    al, au = _latent_windows(state.alpha, _prepared(cfg, data), data)
     z = state.z
     bx = state.beta @ data.x.T
     sd = SIGMA_BETA / state.g
@@ -232,7 +242,7 @@ def _scan_beta_null(cfg: ModelConfig, data: Dataset, state: ChainState,
         lo = _max((z - au - rest) / xk[None, :], axis=1)
         hi = _min((z - al - rest) / xk[None, :], axis=1)
         lo, hi = _ensure_open(lo, hi)
-        new = _draw_window(0.0, sd, lo, hi, rng)
+        new = _draw_window(None, sd, lo, hi, rng)
         bx = rest + new[:, None] * xk[None, :]
         state.beta[:, k] = new
 
@@ -316,16 +326,14 @@ def _fmin(a: float, b: float) -> float:
 
 
 def _draw_open(sd: float, lo: float, hi: float, rng: RngStream) -> float:
-    """``_ensure_open`` and ``_draw_window(0.0, sd, lo, hi)`` on one chain's
-    (1,) window, in floats; a window past TAIL_CUTOFF takes the array path."""
+    """``_ensure_open`` and ``_draw_window(None, sd, lo, hi)`` on one chain's
+    (1,) window, in floats; a window ``_window_float`` refuses takes
+    ``_draw_window``."""
     hi = _fmax(hi, math.nextafter(lo, math.inf))
-    try:
-        x = _window_float(0.0, sd, lo, hi, 1, rng.generator)
-    except DegenerateIntervalError:
-        return _draw_careful(0.0, sd, lo, hi, rng).item()
+    x = _window_float(0.0, sd, lo, hi, rng.generator)
     if x is None:
-        return _draw_window(0.0, np.array([sd]), np.array([lo]),
-                            np.array([hi]), rng).item()
+        return _draw_window(None, sd, np.array([lo]), np.array([hi]),
+                            rng).item()
     return x
 
 
@@ -334,23 +342,15 @@ def _sweep_one(cfg: ModelConfig, data: Dataset, state: ChainState,
     """``kernel_step`` for a batch of one chain: the generic sweep's
     arithmetic in its order on 1-D arrays and Python floats, with the same
     bits and uniforms. b'x stays a (1, n) product, which a one-row product
-    may round differently. A latent block ``_bulk_windows`` refuses goes to
-    ``draw_latent`` before any uniform is drawn."""
+    may round differently."""
     prep = _prepared(cfg, data)
     null = variant.parameterization == "null"
     alpha = state.alpha[0].tolist()
-    cuts = prep.template.copy()
-    cuts[2:cfg.c] = alpha
     bx = (state.beta @ data.x.T)[0]
-    lo = cuts.take(prep.below)
-    hi = cuts.take(data.y)
-    if null:
-        lo += bx
-        hi += bx
-    z = _bulk_windows(None if null else -bx, float(1.0 / state.g[0]), lo, hi,
-                      rng.generator)
-    if z is None:
-        z = draw_latent(cfg, data, state, variant, rng)[0]
+    lo, hi = _latent_windows(state.alpha[0], prep, data,
+                             bx if null else None)
+    z = _draw_window(None if null else -bx, float(1.0 / state.g[0]), lo, hi,
+                     rng)
     state.z = z.reshape(1, -1)
     update_g(cfg, data, state, variant, rng)
     g = state.g[0]
@@ -367,9 +367,7 @@ def _sweep_one(cfg: ModelConfig, data: Dataset, state: ChainState,
         state.alpha[0] = alpha
 
     if null:
-        cuts[2:cfg.c] = alpha
-        au = cuts.take(data.y)
-        al = cuts.take(prep.below)
+        al, au = _latent_windows(state.alpha[0], prep, data)
         beta = state.beta[0].tolist()
         sd = float(SIGMA_BETA / g)
         for k, xk in enumerate(data.x.T):

@@ -5,10 +5,13 @@ counter-based Philox generator or an exact sampler built on top of it:
 truncated normals (inverse CDF in the bulk, exponential rejection past 6 sd,
 and an extended-precision rescue) and gamma draws.
 
-A truncated-normal call whose mean, sd and bounds hold one element each (a
-cut-point or slope window of a single chain) draws in Python floats with
-the array path's operations, so it returns the same bits and consumes the
-same uniform without numpy's per-call cost on one-element arrays.
+The Gibbs sweeps draw every window first with ``_bulk_windows``, the array
+path's inverse-CDF arithmetic done in place, and one chain's cut-point and
+slope windows with ``_window_float``, the same arithmetic on Python floats.
+Both return the array path's bits and consume its uniforms; where the array
+path would raise or leave the bulk they refuse before drawing anything.
+A one-element call of ``truncated_normal_vec`` (the rescue's elementwise
+draws) runs the array path on 0-d arrays.
 
 All functions take an explicit :class:`RngStream`; nothing touches global
 random state, so identical stream keys reproduce identical draws bit for bit
@@ -216,66 +219,27 @@ def _clip(x, lo, hi):
     return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
-def _clamp(x: float, lo: float, hi: float, ndim: int) -> float:
-    """``_clip`` on floats, for a call of the given broadcast ndim.
-
-    NaN in ``x`` or in a bound propagates. A tie of signed zeros keeps ``x``
-    at ndim 0 and takes the bound otherwise, as np.clip does.
-    """
-    if ndim:
-        if not (x > lo or x != x):
-            x = lo
-        if not (x < hi or x != x):
-            x = hi
-    else:
-        if not (x >= lo or x != x):
-            x = lo
-        if not (x <= hi or x != x):
-            x = hi
+def _clamp(x: float, lo: float, hi: float) -> float:
+    """``_clip`` on floats, as on (1,) arrays: NaN in ``x`` or in a bound
+    propagates, and a tie of signed zeros takes the bound."""
+    if not (x > lo or x != x):
+        x = lo
+    if not (x < hi or x != x):
+        x = hi
     return x
 
 
-_FLOAT64 = np.dtype(float)
-
-
-def _one_window(mean, sd, lo, hi, gen):
-    """``truncated_normal_vec`` on one bulk window, in Python floats.
-
-    Returns None unless each argument is a float or a one-element float64
-    array, and for a window past TAIL_CUTOFF, which the array path draws;
-    neither case has drawn a uniform. Otherwise it runs the operations of
-    ``_standard_truncated`` and ``_bulk_draws`` in their order: standardise,
-    reflect a window right of zero, the two ``ndtr``, one uniform,
-    ``ndtri``, both clamps, the window check, un-standardise. It raises
-    what the array path raises, before the uniform is drawn, and returns a
-    float64 scalar or array of the array path's type and shape.
-    """
-    ndim = 0
-    args = []
-    for v in (mean, sd, lo, hi):
-        if isinstance(v, float):
-            args.append(v)
-        elif type(v) is np.ndarray and v.size == 1 and v.dtype is _FLOAT64:
-            args.append(v.item())
-            ndim = max(ndim, v.ndim)
-        else:
-            return None
-    x = _window_float(*args, ndim, gen)
-    if x is None:
-        return None
-    return np.array(x, ndmin=ndim) if ndim else np.float64(x)
-
-
-def _window_float(mean: float, sd: float, lo: float, hi: float, ndim: int,
+def _window_float(mean: float, sd: float, lo: float, hi: float,
                   gen) -> float | None:
-    """``_one_window`` on floats at a call's broadcast ndim: the draw, or
-    None for a window past TAIL_CUTOFF."""
-    if sd <= 0:
-        raise ValueError("sd must be positive")
+    """``_bulk_windows`` on one (1,) window in Python floats: the same bits
+    and the same uniform, without numpy's per-call cost. Returns None, with
+    no uniform drawn, where ``_bulk_windows`` does."""
+    if not sd > 0:
+        return None
     a = (lo - mean) / sd
     b = (hi - mean) / sd
     if not a < b:
-        raise DegenerateIntervalError("empty truncation interval (lo >= hi)")
+        return None
     flip = a > 0.0
     wlo, whi = (-b, -a) if flip else (a, b)
     if whi <= -TAIL_CUTOFF:
@@ -283,44 +247,47 @@ def _window_float(mean: float, sd: float, lo: float, hi: float, ndim: int,
     fa = float(ndtr(wlo))
     mass = float(ndtr(whi)) - fa
     if mass < MASS_FLOOR:
-        raise DegenerateIntervalError(
-            "truncation interval mass underflows double precision"
-        )
-    z = _clamp(float(ndtri(fa + gen.random() * mass)), wlo, whi, ndim)
+        return None
+    z = _clamp(float(ndtri(fa + gen.random() * mass)), wlo, whi)
     if flip:
         z = -z
     if not (z >= a and z <= b):
         raise SamplingError("truncated-normal draw outside its window")
-    return _clamp(mean + sd * z, lo, hi, ndim)
+    return _clamp(mean + sd * z, lo, hi)
 
 
-def _bulk_windows(mean, sd: float, lo, hi, gen):
-    """``truncated_normal_vec`` on one chain's 1-D windows at a float sd:
-    the array path's operations in its order, in place where the bits
-    allow. ``mean`` None is the mean 0.0, whose ``0.0 + sd * z`` turns
-    -0.0 into +0.0. Returns None, with no uniform drawn, where the array
-    path would raise or branch: sd not positive, an empty window, a window
-    past TAIL_CUTOFF, or a mass under MASS_FLOOR."""
-    if not sd > 0:
+def _bulk_windows(mean, sd, lo, hi, gen):
+    """``truncated_normal_vec`` on windows in the bulk: the array path's
+    operations in its order, in place where the bits allow. ``lo`` and
+    ``hi`` are arrays of one or more dimensions (at 0-d the array path
+    clamps with np.clip, which breaks signed-zero ties the other way);
+    ``sd`` is a float or an array that broadcasts against them, as a (B, 1)
+    sd does against (B, n) latent windows. ``mean`` None is the mean 0.0,
+    whose ``0.0 + sd * z`` turns -0.0 into +0.0. Returns None, with no
+    uniform drawn, where the array path would raise or branch: an sd not
+    positive (NaN included), an empty window, a window past TAIL_CUTOFF, a
+    mass under MASS_FLOOR, or no window at all."""
+    if not (sd > 0 if type(sd) is float else _all(sd > 0, axis=None)):
         return None
+    scaled = type(sd) is not float or sd != 1.0
     a, b = (lo, hi) if mean is None else (lo - mean, hi - mean)
-    if sd != 1.0:
+    if scaled:
         a = a / sd
         b = b / sd
-    if not _all(a < b):
+    if not _all(a < b, axis=None):
         return None
     flip = a > 0.0
     wlo = np.where(flip, -b, a)
     whi = np.where(flip, -a, b)
     # Neither bound holds a NaN once every a < b, so the minima decide.
-    if _min(whi) <= -TAIL_CUTOFF:
+    if not wlo.size or _min(whi, axis=None) <= -TAIL_CUTOFF:
         return None
     fa = ndtr(wlo)
     mass = ndtr(whi)
     mass -= fa
-    if _min(mass) < MASS_FLOOR:
+    if _min(mass, axis=None) < MASS_FLOOR:
         return None
-    z = gen.random(lo.size)
+    z = gen.random(wlo.size).reshape(wlo.shape)
     z *= mass
     z += fa
     ndtri(z, out=z)
@@ -328,11 +295,11 @@ def _bulk_windows(mean, sd: float, lo, hi, gen):
     np.minimum(z, whi, out=z)
     # Every wlo < whi, so the clamps leave z in its reflected window unless
     # ndtri gave NaN: the window check reduces to a NaN test.
-    check = _min(z)
+    check = _min(z, axis=None)
     if check != check:
         raise SamplingError("truncated-normal draw outside its window")
     np.negative(z, out=z, where=flip)
-    if sd != 1.0:
+    if scaled:
         z *= sd
     z += 0.0 if mean is None else mean
     np.maximum(z, lo, out=z)
@@ -342,15 +309,12 @@ def _bulk_windows(mean, sd: float, lo, hi, gen):
 def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
     """Vectorized exact draws from N(mean, sd^2) restricted to [lo, hi].
 
-    All arguments broadcast; the output has the broadcast shape. Used by the
-    kernels where a whole latent vector (or a batch of chains) is drawn in
-    one call, which also pins down the randomness consumption order. One
-    window (every argument one element) takes ``_one_window``.
+    All arguments broadcast; the output has the broadcast shape, and one
+    call draws its uniforms in C order. The sweeps reach it only for what
+    ``_bulk_windows`` refuses: tail windows, whose rejection sampler and
+    log-space slivers live here, and windows without double mass, whose
+    raise sends them to the rescue.
     """
-    gen = rng.generator
-    x = _one_window(mean, sd, lo, hi, gen)
-    if x is not None:
-        return x
     mean = np.asarray(mean, dtype=float)
     sd = np.asarray(sd, dtype=float)
     if (sd <= 0).any():
@@ -359,7 +323,7 @@ def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
     hi = np.asarray(hi, dtype=float)
     a = (lo - mean) / sd
     b = (hi - mean) / sd
-    z = _standard_truncated(a, b, gen)
+    z = _standard_truncated(a, b, rng.generator)
     x = mean + sd * z
     # Standardizing can round endpoints; clamp back onto the requested
     # interval so membership is exact for downstream hard assertions.

@@ -49,9 +49,9 @@ def test_tracer_covers_every_per_layer_metric(tmp_path):
 
 
 def test_tracer_counts_one_window_calls_and_draws():
-    """The one-window path runs inside ``truncated_normal_vec``, so the
-    traced calls and draws count it like the array path: one window and
-    then 100 windows are 2 calls and 101 draws."""
+    """A one-window call takes the array path like any other, so the traced
+    calls and draws count it the same way: one window and then 100
+    windows are 2 calls and 101 draws."""
     tracer = _tracer_module().Tracer()
     tracer.install()
     try:

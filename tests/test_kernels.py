@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -39,7 +40,8 @@ from mcmcdegen.model import (
     Theta,
     sample_dataset,
 )
-from mcmcdegen.sampling import RngStream, SamplingError
+from mcmcdegen.sampling import (MASS_FLOOR, DegenerateIntervalError,
+                                RngStream, SamplingError, truncated_normal_vec)
 
 
 def _prepared_state(cfg, data, variant, theta, g, rng):
@@ -471,14 +473,22 @@ class _PinnedUniforms:
         return getattr(self._gen, name)
 
 
+def _refuse(*args):
+    return None
+
+
 def _generic_sweep(cfg, data, state, variant, rng):
-    """The sweep ``kernel_step`` runs for a batch of several chains."""
-    draw_latent(cfg, data, state, variant, rng)
-    update_g(cfg, data, state, variant, rng)
-    if variant.parameterization == "null":
-        update_theta_null(cfg, data, state, rng)
-    else:
-        update_theta_beta(cfg, data, state, rng)
+    """The sweep ``kernel_step`` runs for a batch of several chains, with
+    ``_bulk_windows`` refusing every window: each draw then takes
+    ``truncated_normal_vec``'s array path, a reference that shares no code
+    with the one-chain sweep's bulk and float draws."""
+    with mock.patch.object(kernels, "_bulk_windows", _refuse):
+        draw_latent(cfg, data, state, variant, rng)
+        update_g(cfg, data, state, variant, rng)
+        if variant.parameterization == "null":
+            update_theta_null(cfg, data, state, rng)
+        else:
+            update_theta_beta(cfg, data, state, rng)
 
 
 def _stream_state(rng):
@@ -542,20 +552,22 @@ class TestOneChainSweep:
     @pytest.mark.parametrize("variant", ["binary-beta", "binary-null"])
     def test_tail_latent_falls_back_before_any_uniform(self, variant,
                                                        monkeypatch):
-        """Latent windows 40+ sd out: the sweep hands the block to
-        ``draw_latent`` with the stream as it found it."""
+        """Latent windows 40+ sd out: ``_bulk_windows`` refuses the sweep's
+        (n,) latent block, which reaches the array path with the stream as
+        it found it."""
         cfg = ModelConfig(c=2)
         x = np.concatenate([np.linspace(0.05, 0.6, 36),
                             [0.93, 0.96, 0.99, 1.0]])
         data = Dataset(x=x[:, None], y=np.where(x > 0.5, 2, 1), c=2)
         seen = []
-        real = kernels.draw_latent
+        real = kernels.truncated_normal_vec
 
-        def watched(cfg, data, state, variant, rng):
-            seen.append(_stream_state(rng))
-            return real(cfg, data, state, variant, rng)
+        def watched(mean, sd, lo, hi, rng):
+            if np.shape(lo) == (data.n,):
+                seen.append(_stream_state(rng))
+            return real(mean, sd, lo, hi, rng)
 
-        monkeypatch.setattr(kernels, "draw_latent", watched)
+        monkeypatch.setattr(kernels, "truncated_normal_vec", watched)
         fresh = _stream_state(RngStream(81, variant))
         one, generic = _run_both(cfg, data, variant, (), (44.0,), 1.0)
         assert one[:2] == generic[:2]
@@ -618,3 +630,116 @@ class TestOneChainSweep:
             state = ChainState(alpha=[()], beta=[(0.5,)], g=1.0)
             with pytest.raises(SamplingError):
                 sweep(cfg, data, state, VariantId.parse("binary-null"), rng)
+
+
+def _array_path(mean, sd, lo, hi, rng):
+    """``_draw_window`` without the bulk draw: the array path, then the
+    elementwise rescue. Returns the draw's bytes, or the exception's type,
+    with the stream state."""
+    try:
+        try:
+            out = truncated_normal_vec(mean, sd, lo, hi, rng)
+        except DegenerateIntervalError:
+            out = kernels._draw_careful(mean, sd, lo, hi, rng)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), _stream_state(rng)
+    return out.tobytes(), _stream_state(rng)
+
+
+def _cut_point_windows(batch=144):
+    """(batch,) windows of the kind the cut-point scan draws: from zero or
+    a positive witness to a larger one or +inf, with a (batch,) sd."""
+    gen = np.random.default_rng(7)
+    lo = np.where(gen.random(batch) < 0.2, 0.0, gen.exponential(1.5, batch))
+    hi = lo + gen.exponential(2.0, batch)
+    hi[gen.random(batch) < 0.2] = np.inf
+    return lo, hi, SIGMA_ALPHA / np.linspace(0.5, 2.0, batch)
+
+
+class TestBulkWindows:
+    """``_bulk_windows``, the one bulk draw of every sweep, against the
+    array path of ``truncated_normal_vec``: every byte and the Philox
+    stream state must agree, and a refused call must draw nothing."""
+
+    @pytest.mark.parametrize("c", [2, 3, 4])
+    @pytest.mark.parametrize("parameterization", ["null", "beta"])
+    @pytest.mark.parametrize("unit_sd", [True, False])
+    def test_latent_windows_match_array_path(self, c, parameterization,
+                                             unit_sd):
+        theta = _DIGEST_THETA["gap" if c == 4 else c]
+        cfg = ModelConfig(c=c, covariates=CovariateSpec(p=theta.beta.size))
+        data = sample_dataset(cfg, theta, 100, seed=63)
+        gen = np.random.default_rng(c)
+        batch = 144
+        g = np.ones(batch) if unit_sd else np.linspace(0.6, 1.6, batch)
+        state = ChainState(
+            alpha=theta.alpha * np.exp(0.05 * gen.standard_normal(
+                (batch, c - 2))),
+            beta=theta.beta + 0.1 * gen.standard_normal((batch, cfg.p)),
+            g=g)
+        null = parameterization == "null"
+        bx = state.beta @ data.x.T
+        lo, hi = kernels._latent_windows(state.alpha,
+                                         kernels._prepared(cfg, data), data,
+                                         bx if null else None)
+        assert lo.shape == (batch, data.n)
+        mean, sd = (None if null else -bx), (1.0 / g)[:, None]
+        rng = RngStream(64, c, parameterization)
+        got = kernels._bulk_windows(mean, sd, lo, hi, rng.generator)
+        assert got is not None
+        want = _array_path(0.0 if null else mean, sd, lo, hi,
+                           RngStream(64, c, parameterization))
+        assert (got.tobytes(), _stream_state(rng)) == want
+
+    @pytest.mark.parametrize("ulps", [False, True])
+    def test_cut_point_windows_match_array_path(self, ulps):
+        """With ``ulps``, windows 1 to 8 ulps wide 5.5 sd below the mean,
+        where un-standardising can round past an end: the final clamp
+        decides those bits."""
+        lo, hi, sd = _cut_point_windows()
+        if ulps:
+            lo = -5.5 * sd
+            hi = lo + (1 + np.arange(lo.size) % 8) * np.spacing(-lo)
+        rng = RngStream(65)
+        got = kernels._bulk_windows(None, sd, lo, hi, rng.generator)
+        assert got is not None
+        want = _array_path(0.0, sd, lo, hi, RngStream(65))
+        assert (got.tobytes(), _stream_state(rng)) == want
+
+    @pytest.mark.parametrize("case", ["tail", "underflow", "shut", "no-window",
+                                      "zero-sd", "negative-sd", "nan-sd",
+                                      "zero-float-sd", "nan-float-sd"])
+    def test_refusals_draw_nothing(self, case):
+        """One window past 6 sd, one without double mass, one shut, none at
+        all, or an sd that is not positive: ``_bulk_windows`` refuses
+        before any uniform, and ``_draw_window`` then draws what the array
+        path and the rescue draw."""
+        lo, hi, sd = _cut_point_windows()
+        if case == "tail":
+            lo[5], hi[5] = 7.0 * sd[5], np.inf
+        elif case == "underflow":
+            hi[5] = np.nextafter(lo[5], np.inf)
+        elif case == "shut":
+            hi[5] = lo[5]
+        elif case == "no-window":
+            lo, hi, sd = lo[:0], hi[:0], sd[:0]
+        elif case.endswith("float-sd"):
+            lo[5], hi[5] = -1.0, 1.0     # open at sd = 0: only sd refuses
+            sd = 0.0 if case.startswith("zero") else np.nan
+        else:
+            lo[5], hi[5] = -1.0, 1.0
+            sd[5] = {"zero-sd": 0.0, "negative-sd": -1.0,
+                     "nan-sd": np.nan}[case]
+        rng = RngStream(66, case)
+        fresh = _stream_state(rng)
+        assert kernels._bulk_windows(None, sd, lo, hi, rng.generator) is None
+        assert _stream_state(rng) == fresh
+        if case == "underflow":
+            mass = norm.cdf(hi[5] / sd[5]) - norm.cdf(lo[5] / sd[5])
+            assert mass < MASS_FLOOR
+        try:
+            got = kernels._draw_window(None, sd, lo, hi, rng).tobytes()
+        except (ValueError, RuntimeError) as exc:
+            got = type(exc)
+        assert (got, _stream_state(rng)) == _array_path(
+            0.0, sd, lo, hi, RngStream(66, case))

@@ -346,8 +346,9 @@ def _one_windows(draw):
 
 
 class TestOneWindow:
-    """One window takes the Python-float path, which must return the
-    oracle's bits, type and shape and leave the stream where it does."""
+    """A one-window call of ``truncated_normal_vec`` must return the
+    oracle's bits, type and shape and leave the stream where it does; so
+    must ``_window_float`` on the window's floats wherever it draws."""
 
     @settings(max_examples=400, deadline=None)
     @given(window=_one_windows(),
@@ -375,19 +376,27 @@ class TestOneWindow:
         if len(got) == 2:      # a raising call drew no uniform
             assert got[1] == fresh
 
-    def test_bulk_window_skips_the_array_path(self, monkeypatch):
-        """The path is chosen by input size alone; a tail window still goes
-        to the array path."""
-        def array_path(a, b, gen):
-            raise AssertionError("array path taken")
-        monkeypatch.setattr(sampling, "_standard_truncated", array_path)
-        truncated_normal_vec(0.0, np.ones(1), np.full(1, -1.0),
-                             np.full(1, 2.0), RngStream(15))
-        with pytest.raises(AssertionError, match="array path"):
-            truncated_normal_vec(0.0, 1.0, 7.0, 8.0, RngStream(15))
-        with pytest.raises(AssertionError, match="array path"):
-            truncated_normal_vec(0.0, 1.0, np.full(2, -1.0), 2.0,
-                                 RngStream(15))
+        # The one-chain sweeps' float path, against the oracle on (1,)
+        # windows: where it draws, the same bits and stream state; where it
+        # refuses, an untouched stream.
+        rng = RngStream(seed, "one")
+        with np.errstate(all="ignore"):
+            try:
+                x = sampling._window_float(*map(float, window), rng.generator)
+            except SamplingError:
+                x = SamplingError
+        if x is None:
+            assert _stream_state(rng) == fresh, window
+            return
+        oracle = RngStream(seed, "one")
+        with np.errstate(all="ignore"):
+            try:
+                want = _oracle_truncated_normal_vec(
+                    *[np.array([v]) for v in window], oracle).tobytes()
+            except (ValueError, RuntimeError) as exc:
+                want = type(exc)
+        assert (x if x is SamplingError else np.array([x]).tobytes(),
+                _stream_state(rng)) == (want, _stream_state(oracle)), window
 
 
 _CLAMP_VALUES = (-0.0, 0.0, -np.inf, np.inf, np.nan, 1.0, -1.0)
@@ -395,10 +404,10 @@ _TRIPLES = list(itertools.product(_CLAMP_VALUES, repeat=3))
 
 
 def test_clamps_equal_np_clip_on_every_triple():
-    """``_clip`` (the array path) and ``_clamp`` (the one-window path) equal
+    """``_clip`` (the array path) and ``_clamp`` (the float path) equal
     np.clip byte for byte on every triple of signed zeros, infinities, NaN
-    and +-1: on 0-d operands and on arrays, whose loops order a tie of
-    signed zeros differently."""
+    and +-1: ``_clip`` on 0-d operands and on arrays, whose loops order a
+    tie of signed zeros differently, and ``_clamp`` as on (1,) arrays."""
     def bits(v):
         return np.asarray(v, dtype=float).tobytes()
 
@@ -409,11 +418,10 @@ def test_clamps_equal_np_clip_on_every_triple():
         zero_d = [np.array(v) for v in t]
         one = [np.array([v]) for v in t]
         want0, want1 = np.clip(*zero_d), np.clip(*one)
-        if not (bits(sampling._clamp(*t, 0)) == bits(want0)
-                == bits(sampling._clip(*zero_d))):
+        if not bits(want0) == bits(sampling._clip(*zero_d)):
             wrong.append(("0-d", t))
-        if not (bits(sampling._clamp(*t, 1)) == bits(sampling._clamp(*t, 2))
-                == bits(want1) == bits(sampling._clip(*one))):
+        if not (bits(sampling._clamp(*t)) == bits(want1)
+                == bits(sampling._clip(*one))):
             wrong.append(("(1,)", t))
     assert not wrong, wrong
 
