@@ -30,10 +30,11 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _parse_opts(pairs, command: str) -> dict:
-    """``--opt KEY=VALUE`` pairs as a dict, checked against ``_COMMAND_OPTIONS``."""
-    out = {}
-    for pair in pairs or ():
+def _options(args, cfg: dict) -> dict:
+    """The config file's ``options`` overlaid with the ``--opt KEY=VALUE``
+    pairs, checked against ``_COMMAND_OPTIONS``."""
+    out = dict(cfg.get("options", {}))
+    for pair in args.opt or ():
         if "=" not in pair:
             raise ValueError(f"--opt expects KEY=VALUE, got {pair!r}")
         key, val = pair.split("=", 1)
@@ -41,8 +42,9 @@ def _parse_opts(pairs, command: str) -> dict:
             out[key] = json.loads(val)
         except json.JSONDecodeError:
             out[key] = val
-    if command in _COMMAND_OPTIONS:
-        harness.check_option_keys(out, _COMMAND_OPTIONS[command], command)
+    if args.command in _COMMAND_OPTIONS:
+        harness.check_option_keys(out, _COMMAND_OPTIONS[args.command],
+                                  args.command)
     return out
 
 
@@ -54,14 +56,29 @@ _COMMAND_OPTIONS = {
     "build-reference": ("length", "burn", "thin"),
 }
 
+#: The config-file keys each subcommand reads.
+_BASE_KEYS = ("seed", "out", "n", "c", "p", "options")
+_PLAN_KEYS = _BASE_KEYS + ("n_list", "c_list", "m", "R", "variant",
+                           "variants", "threads")
+_CONFIG_KEYS = {"gen-data": _BASE_KEYS, "build-reference": _BASE_KEYS,
+                "run-chain": _BASE_KEYS + ("m", "variant"),
+                "diagnose": _PLAN_KEYS, "table1": _PLAN_KEYS,
+                "figure": _PLAN_KEYS + ("scenario",)}
 
-def _load_config(path) -> dict:
-    if not path:
+
+def _load_config(args) -> dict:
+    """The ``--config`` file's settings; a key the subcommand does not read
+    is refused."""
+    if not args.config:
         return {}
-    with open(path) as fh:
+    with open(args.config) as fh:
         cfg = json.load(fh)
-    if not isinstance(cfg, dict):
-        raise ValueError("config file must hold a JSON object")
+    if not (isinstance(cfg, dict)
+            and isinstance(cfg.get("options", {}), dict)):
+        raise ValueError("config file must hold a JSON object, with its "
+                         "options in one")
+    harness.check_option_keys(cfg, _CONFIG_KEYS[args.command],
+                              f"{args.command} config file")
     return cfg
 
 
@@ -98,13 +115,13 @@ def _start_theta(opts: dict, c: int, p: int) -> Theta | None:
 # subcommand implementations
 
 def cmd_gen_data(args) -> int:
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     c = int(_setting(args, cfg, "c", 2))
     p = int(_setting(args, cfg, "p", 1))
     n = int(_setting(args, cfg, "n", 100))
     seed = int(_setting(args, cfg, "seed", 20_240_817))
     out = Path(_setting(args, cfg, "out", f"data_c{c}_n{n}.csv"))
-    opts = _parse_opts(args.opt, "gen-data")
+    opts = _options(args, cfg)
     mc = _model_for(c, p)
     theta0 = _start_theta({"start": opts.get("theta0")}, c, p) \
         or harness.default_theta0(c, p)
@@ -117,8 +134,8 @@ def cmd_gen_data(args) -> int:
 
 
 def cmd_run_chain(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _parse_opts(args.opt, "run-chain")
+    cfg = _load_config(args)
+    opts = _options(args, cfg)
     variant = VariantId.parse(_setting(args, cfg, "variant", "binary-beta"))
     c = int(_setting(args, cfg, "c", 2 if variant.binary else 3))
     p = int(_setting(args, cfg, "p", 1))
@@ -150,8 +167,8 @@ def cmd_run_chain(args) -> int:
 
 
 def cmd_build_reference(args) -> int:
-    cfg = _load_config(args.config)
-    opts = _parse_opts(args.opt, "build-reference")
+    cfg = _load_config(args)
+    opts = _options(args, cfg)
     c = int(_setting(args, cfg, "c", 2))
     p = int(_setting(args, cfg, "p", 1))
     n = int(_setting(args, cfg, "n", 100))
@@ -176,8 +193,7 @@ def cmd_build_reference(args) -> int:
 
 def _plan_from_args(args, cfg: dict,
                     scenario: str) -> harness.ExperimentPlan:
-    opts = dict(cfg.get("options", {}))
-    opts.update(_parse_opts(args.opt, scenario))
+    opts = _options(args, cfg)
     kw = {"master_seed": _setting(args, cfg, "seed"),
           "out_dir": _setting(args, cfg, "out"),
           "m": _setting(args, cfg, "m"),
@@ -204,7 +220,7 @@ def _plan_from_args(args, cfg: dict,
 def cmd_plan(args) -> int:
     """Run a harness plan: ``diagnose``, ``table1``, or ``figure`` with its
     ``--scenario``; print the summary CSV, or the figure's name."""
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     scenario = args.command
     if scenario == "figure":
         scenario = _setting(args, cfg, "scenario")

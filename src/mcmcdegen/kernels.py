@@ -16,11 +16,11 @@ independent of how work is scheduled across threads. A batch of one chain
 (a reference chain, a figure's trace, an R or R' chain) takes
 ``_sweep_one``: the same bits, without numpy's per-call cost on (1, .)
 arrays. Every array of truncated-normal windows, of a batch or of one
-chain, enters through ``_draw_window``: the in-place bulk draw first, then
-the array path for tails, then the elementwise rescue. ``run_chain`` is
-the one driver of a batch; ``apply_transform`` evaluates the named
-functionals of the state (raw, identified, cut points, cut ratios) on its
-records.
+chain, enters through ``_draw_window``: ``truncated_normal_vec``, which
+draws the bulk in place and the tails by rejection, then the elementwise
+rescue. ``run_chain`` is the one driver of a batch; ``apply_transform``
+evaluates the named functionals of the state (raw, identified, cut points,
+cut ratios) on its records.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .sampling import (
     truncated_normal_extended,
     truncated_normal_vec,
 )
-from .sampling import _all, _any, _bulk_windows, _max, _min, _window_float
+from .sampling import _all, _any, _max, _min, _window_float
 
 VARIANT_NAMES = ("binary-null", "binary-beta", "null", "beta", "null-ma", "beta-ma")
 
@@ -164,20 +164,14 @@ def draw_latent(cfg: ModelConfig, data: Dataset, state: ChainState,
 
 
 def _draw_window(mean, sd, lo, hi, rng: RngStream) -> np.ndarray:
-    """``truncated_normal_vec`` at ``mean`` (None is 0.0): ``_bulk_windows``
-    where it accepts the windows, else the array path, which draws the
-    tails. A window that carries no double mass goes to ``_draw_careful``:
-    a latent window far in the tail, or a shut window that ``_ensure_open``
-    opened by one ulp in the bulk."""
-    z = _bulk_windows(mean, sd, lo, hi, rng.generator)
-    if z is not None:
-        return z
-    if mean is None:
-        mean = 0.0
+    """``truncated_normal_vec`` at ``mean`` (None is 0.0). A window that
+    carries no double mass goes to ``_draw_careful``: a latent window far
+    in the tail, or a shut window that ``_ensure_open`` opened by one ulp
+    in the bulk."""
     try:
         return truncated_normal_vec(mean, sd, lo, hi, rng)
     except DegenerateIntervalError:
-        return _draw_careful(mean, sd, lo, hi, rng)
+        return _draw_careful(0.0 if mean is None else mean, sd, lo, hi, rng)
 
 
 def _draw_careful(mean, sd, lo, hi, rng: RngStream) -> np.ndarray:

@@ -5,13 +5,12 @@ counter-based Philox generator or an exact sampler built on top of it:
 truncated normals (inverse CDF in the bulk, exponential rejection past 6 sd,
 and an extended-precision rescue) and gamma draws.
 
-The Gibbs sweeps draw every window first with ``_bulk_windows``, the array
-path's inverse-CDF arithmetic done in place, and one chain's cut-point and
-slope windows with ``_window_float``, the same arithmetic on Python floats.
-Both return the array path's bits and consume its uniforms; where the array
-path would raise or leave the bulk they refuse before drawing anything.
-A one-element call of ``truncated_normal_vec`` (the rescue's elementwise
-draws) runs the array path on 0-d arrays.
+Every array of truncated-normal windows, a batch's or one chain's, is drawn
+by ``truncated_normal_vec``, in place where the windows lie in the bulk.
+One chain's cut-point and slope windows take ``_window_float``, the same
+arithmetic on Python floats, which refuses before drawing anything where
+the array call would raise or leave the bulk. The rescue's elementwise
+draws run ``truncated_normal_vec`` on 0-d arrays.
 
 All functions take an explicit :class:`RngStream`; nothing touches global
 random state, so identical stream keys reproduce identical draws bit for bit
@@ -105,106 +104,6 @@ class RngStream:
         return f"RngStream(seed={self.seed}, path={self.path})"
 
 
-def _standard_truncated(a, b, gen):
-    """Draw standard normals conditioned on the interval [a, b] elementwise.
-
-    ``a`` and ``b`` are broadcast arrays (may contain +-inf). The bulk uses
-    the inverse CDF; intervals lying entirely past TAIL_CUTOFF standard
-    deviations use the translated-exponential rejection sampler, which stays
-    exact arbitrarily far out where the CDF has no resolution left.
-
-    A call whose windows all lie in the bulk runs the inverse CDF on the
-    whole arrays; a call with tail windows gathers the bulk ones, draws
-    their uniforms first (in C order) and scatters the results back. Both
-    paths apply the same arithmetic to each window and consume the same
-    uniforms in the same order, so they return the same bits.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.shape != b.shape:
-        a, b = np.broadcast_arrays(a, b)
-    if a.size == 0:
-        return np.empty(a.shape)
-    if not (a < b).all():
-        raise DegenerateIntervalError("empty truncation interval (lo >= hi)")
-
-    # Work on the left half-line: intervals starting right of zero are
-    # reflected so the CDF is evaluated where it keeps absolute accuracy.
-    flip = a > 0.0
-    lo = np.where(flip, -b, a)
-    hi = np.where(flip, -a, b)
-
-    tail = hi <= -TAIL_CUTOFF
-    if not tail.any():
-        out = _bulk_draws(lo, hi, gen)
-    else:
-        out = np.empty(a.shape)
-        bulk = ~tail
-        if bulk.any():
-            out[bulk] = _bulk_draws(lo[bulk], hi[bulk], gen)
-        # Reflect once more so the rejection runs on a right tail [tlo, thi),
-        # tlo >= TAIL_CUTOFF, and check the mass is representable at all.
-        tlo = -hi[tail]
-        thi = -lo[tail]
-        mass = ndtr(-tlo) - ndtr(-thi)
-        if (mass < MASS_FLOOR).any():
-            raise DegenerateIntervalError(
-                "truncation interval mass underflows double precision"
-            )
-        draws = np.empty(tlo.shape)
-        pending = np.ones(tlo.shape, dtype=bool)
-        alpha = 0.5 * (tlo + np.sqrt(tlo * tlo + 4.0))
-        for _ in range(_MAX_REJECTION_ROUNDS):
-            k = int(pending.sum())
-            if k == 0:
-                break
-            lo_p = tlo[pending]
-            al_p = alpha[pending]
-            z = lo_p - np.log(gen.random(k)) / al_p
-            accept = gen.random(k) <= np.exp(-0.5 * (z - al_p) ** 2)
-            accept &= z <= thi[pending]
-            idx = np.flatnonzero(pending)[accept]
-            draws[idx] = z[accept]
-            remaining = pending.copy()
-            remaining[idx] = False
-            pending = remaining
-        if pending.any():
-            # Intervals too narrow for rejection to land in: invert the
-            # conditional survival function in log space, which keeps full
-            # relative precision arbitrarily far out.
-            lo_p = tlo[pending]
-            hi_p = thi[pending]
-            lq_lo = log_ndtr(-lo_p)
-            lq_hi = log_ndtr(-hi_p)
-            one_minus_ratio = -np.expm1(lq_hi - lq_lo)
-            u = gen.random(int(pending.sum()))
-            q = np.exp(lq_lo) * (1.0 - one_minus_ratio * u)
-            z = -ndtri(np.fmax(q, 1e-310))
-            draws[pending] = _clip(z, lo_p, hi_p)
-        out[tail] = -draws
-
-    result = np.where(flip, -out, out)
-    if not ((result >= a) & (result <= b)).all():
-        raise SamplingError("truncated-normal draw outside its window")
-    return result
-
-
-def _bulk_draws(lo, hi, gen):
-    """Inverse-CDF draws on windows with hi > -TAIL_CUTOFF.
-
-    The mass check comes before the uniforms are drawn, so a call that
-    raises leaves the stream untouched.
-    """
-    fa = ndtr(lo)
-    mass = ndtr(hi) - fa
-    if (mass < MASS_FLOOR).any():
-        raise DegenerateIntervalError(
-            "truncation interval mass underflows double precision"
-        )
-    u = fa + gen.random(lo.size).reshape(lo.shape) * mass
-    return _clip(ndtri(u), lo, hi)
-
-
 def _clip(x, lo, hi):
     """``np.clip(x, lo, hi)`` without its Python wrapper, in place.
 
@@ -215,7 +114,7 @@ def _clip(x, lo, hi):
     array loop takes the bound; those calls stay with np.clip.
     """
     if x.ndim == 0:
-        return np.clip(x, lo, hi)
+        return np.clip(x, lo, hi, out=x)
     return np.minimum(np.maximum(x, lo, out=x), hi, out=x)
 
 
@@ -231,9 +130,10 @@ def _clamp(x: float, lo: float, hi: float) -> float:
 
 def _window_float(mean: float, sd: float, lo: float, hi: float,
                   gen) -> float | None:
-    """``_bulk_windows`` on one (1,) window in Python floats: the same bits
-    and the same uniform, without numpy's per-call cost. Returns None, with
-    no uniform drawn, where ``_bulk_windows`` does."""
+    """``truncated_normal_vec`` on one (1,) window in the bulk, in Python
+    floats: the same bits and the same uniform, without numpy's per-call
+    cost. Returns None, with no uniform drawn, where the array call would
+    raise or take the tail path."""
     if not sd > 0:
         return None
     a = (lo - mean) / sd
@@ -256,45 +156,113 @@ def _window_float(mean: float, sd: float, lo: float, hi: float,
     return _clamp(mean + sd * z, lo, hi)
 
 
-def _bulk_windows(mean, sd, lo, hi, gen):
-    """``truncated_normal_vec`` on windows in the bulk: the array path's
-    operations in its order, in place where the bits allow. ``lo`` and
-    ``hi`` are arrays of one or more dimensions (at 0-d the array path
-    clamps with np.clip, which breaks signed-zero ties the other way);
-    ``sd`` is a float or an array that broadcasts against them, as a (B, 1)
-    sd does against (B, n) latent windows. ``mean`` None is the mean 0.0,
-    whose ``0.0 + sd * z`` turns -0.0 into +0.0. Returns None, with no
-    uniform drawn, where the array path would raise or branch: an sd not
-    positive (NaN included), an empty window, a window past TAIL_CUTOFF, a
-    mass under MASS_FLOOR, or no window at all."""
-    if not (sd > 0 if type(sd) is float else _all(sd > 0, axis=None)):
-        return None
+def _inverse_cdf(lo, hi, gen):
+    """Inverse-CDF draws on reflected windows lo < hi with hi > -TAIL_CUTOFF,
+    in place. The mass check comes before the uniforms are drawn, so a call
+    that raises leaves the stream untouched."""
+    fa = ndtr(lo)
+    mass = ndtr(hi)
+    mass -= fa
+    if _min(mass, axis=None) < MASS_FLOOR:
+        raise DegenerateIntervalError("truncation interval mass underflows "
+                                      "double precision")
+    z = gen.random(lo.size).reshape(lo.shape)
+    z *= mass
+    z += fa
+    return _clip(ndtri(z, out=z), lo, hi)
+
+
+def _right_tail(tlo, thi, gen):
+    """Draws on right-tail windows [tlo, thi], tlo >= TAIL_CUTOFF: Robert's
+    translated-exponential rejection, which stays exact arbitrarily far out
+    where the CDF has no resolution left, then log-space inversion for the
+    slivers too narrow for rejection to land in."""
+    mass = ndtr(-tlo) - ndtr(-thi)
+    if (mass < MASS_FLOOR).any():
+        raise DegenerateIntervalError("truncation interval mass underflows "
+                                      "double precision")
+    draws = np.empty(tlo.shape)
+    pending = np.ones(tlo.shape, dtype=bool)
+    alpha = 0.5 * (tlo + np.sqrt(tlo * tlo + 4.0))
+    for _ in range(_MAX_REJECTION_ROUNDS):
+        k = int(pending.sum())
+        if k == 0:
+            break
+        lo_p = tlo[pending]
+        al_p = alpha[pending]
+        z = lo_p - np.log(gen.random(k)) / al_p
+        accept = gen.random(k) <= np.exp(-0.5 * (z - al_p) ** 2)
+        accept &= z <= thi[pending]
+        idx = np.flatnonzero(pending)[accept]
+        draws[idx] = z[accept]
+        remaining = pending.copy()
+        remaining[idx] = False
+        pending = remaining
+    if pending.any():
+        # The conditional survival function inverted in log space keeps
+        # full relative precision arbitrarily far out.
+        lo_p = tlo[pending]
+        hi_p = thi[pending]
+        lq_lo = log_ndtr(-lo_p)
+        lq_hi = log_ndtr(-hi_p)
+        one_minus_ratio = -np.expm1(lq_hi - lq_lo)
+        u = gen.random(int(pending.sum()))
+        q = np.exp(lq_lo) * (1.0 - one_minus_ratio * u)
+        z = -ndtri(np.fmax(q, 1e-310))
+        draws[pending] = _clip(z, lo_p, hi_p)
+    return draws
+
+
+def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
+    """Vectorized exact draws from N(mean, sd^2) restricted to [lo, hi].
+
+    All arguments broadcast; the output has the broadcast shape, and one
+    call draws its uniforms in C order. ``mean`` None is the mean 0.0, and
+    a float ``sd`` of 1.0 skips the scaling; neither changes a bit.
+
+    The windows are standardized and reflected onto the left half-line,
+    where the CDF keeps absolute accuracy. A call whose windows all lie in
+    the bulk runs the inverse CDF in place on the whole arrays; a call with
+    windows past TAIL_CUTOFF draws its bulk windows first, with the same
+    arithmetic, then the tails. An sd that is not positive raises
+    ValueError; a NaN, a shut window or one without double mass raises
+    DegenerateIntervalError before any uniform is drawn, except that a
+    tail's underflow is found after the bulk's uniforms.
+    """
+    if type(sd) is not float:
+        sd = np.asarray(sd, dtype=float)
+    if sd <= 0 if type(sd) is float else _any(sd <= 0, axis=None):
+        raise ValueError("sd must be positive")
     scaled = type(sd) is not float or sd != 1.0
-    a, b = (lo, hi) if mean is None else (lo - mean, hi - mean)
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    if mean is None:
+        a, b = lo, hi
+    else:
+        mean = np.asarray(mean, dtype=float)
+        a, b = lo - mean, hi - mean
     if scaled:
         a = a / sd
         b = b / sd
     if not _all(a < b, axis=None):
-        return None
+        raise DegenerateIntervalError("empty truncation interval (lo >= hi)")
     flip = a > 0.0
     wlo = np.where(flip, -b, a)
     whi = np.where(flip, -a, b)
-    # Neither bound holds a NaN once every a < b, so the minima decide.
-    if not wlo.size or _min(whi, axis=None) <= -TAIL_CUTOFF:
-        return None
-    fa = ndtr(wlo)
-    mass = ndtr(whi)
-    mass -= fa
-    if _min(mass, axis=None) < MASS_FLOOR:
-        return None
-    z = gen.random(wlo.size).reshape(wlo.shape)
-    z *= mass
-    z += fa
-    ndtri(z, out=z)
-    np.maximum(z, wlo, out=z)
-    np.minimum(z, whi, out=z)
-    # Every wlo < whi, so the clamps leave z in its reflected window unless
-    # ndtri gave NaN: the window check reduces to a NaN test.
+    if not wlo.size:
+        return wlo
+    # Neither bound holds a NaN once every a < b, so the minimum decides.
+    if _min(whi, axis=None) > -TAIL_CUTOFF:
+        z = _inverse_cdf(wlo, whi, rng.generator)
+    else:
+        z = np.empty(wlo.shape)
+        tail = whi <= -TAIL_CUTOFF
+        bulk = ~tail
+        if bulk.any():
+            z[bulk] = _inverse_cdf(wlo[bulk], whi[bulk], rng.generator)
+        z[tail] = -_right_tail(-whi[tail], -wlo[tail], rng.generator)
+    # The clamps keep every draw in its reflected window unless it is NaN,
+    # so the window check reduces to a NaN test.
     check = _min(z, axis=None)
     if check != check:
         raise SamplingError("truncated-normal draw outside its window")
@@ -302,32 +270,10 @@ def _bulk_windows(mean, sd, lo, hi, gen):
     if scaled:
         z *= sd
     z += 0.0 if mean is None else mean
-    np.maximum(z, lo, out=z)
-    return np.minimum(z, hi, out=z)
-
-
-def truncated_normal_vec(mean, sd, lo, hi, rng: RngStream):
-    """Vectorized exact draws from N(mean, sd^2) restricted to [lo, hi].
-
-    All arguments broadcast; the output has the broadcast shape, and one
-    call draws its uniforms in C order. The sweeps reach it only for what
-    ``_bulk_windows`` refuses: tail windows, whose rejection sampler and
-    log-space slivers live here, and windows without double mass, whose
-    raise sends them to the rescue.
-    """
-    mean = np.asarray(mean, dtype=float)
-    sd = np.asarray(sd, dtype=float)
-    if (sd <= 0).any():
-        raise ValueError("sd must be positive")
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    a = (lo - mean) / sd
-    b = (hi - mean) / sd
-    z = _standard_truncated(a, b, rng.generator)
-    x = mean + sd * z
     # Standardizing can round endpoints; clamp back onto the requested
     # interval so membership is exact for downstream hard assertions.
-    return _clip(x, lo, hi)
+    z = _clip(z, lo, hi)
+    return z if z.ndim else z[()]
 
 
 def truncated_normal_extended(mean, sd, lo, hi, rng: RngStream):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from mcmcdegen import harness, sampling
+from mcmcdegen import harness, kernels, model, sampling
 from mcmcdegen.sampling import RngStream
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -65,3 +65,25 @@ def test_tracer_counts_one_window_calls_and_draws():
     metrics = tracer.layer_metrics(1)
     assert metrics["sampling.truncated_normal_vec.calls"] == 2
     assert metrics["sampling.truncated_normal_vec.draws"] == 101
+
+
+def test_tracer_counts_every_sweep_latent():
+    """Every Gibbs sweep, of a batch or of one chain, draws its latents
+    with ``truncated_normal_vec``, so the traced draws count them."""
+    cfg = model.ModelConfig(c=3)
+    data = model.sample_dataset(cfg, harness.default_theta0(3), 50, seed=5)
+    variant = kernels.VariantId.parse("beta")
+    for batch in (144, 1):
+        rng = RngStream(7, batch)
+        state = kernels.initial_state(cfg, variant, batch, rng.child("init"),
+                                      theta=harness.default_theta0(3))
+        tracer = _tracer_module().Tracer()
+        tracer.install()
+        try:
+            kernels.kernel_step(cfg, data, state, variant, rng)
+        finally:
+            tracer.uninstall()
+        metrics = tracer.layer_metrics(1)
+        assert metrics["kernels.kernel_step.latents"] == batch * data.n
+        assert (metrics["sampling.truncated_normal_vec.draws"]
+                >= batch * data.n), batch

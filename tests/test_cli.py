@@ -65,6 +65,18 @@ class TestGenData:
         assert code == 0
         assert list(load_dataset(out).true_theta.alpha) == [0.5]
 
+    def test_theta0_from_config_file(self, tmp_path, capsys):
+        """The config file's ``options`` reach gen-data; ``--opt`` wins."""
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"options": {"theta0": [0.5, -2.0]},
+                                    "c": 3, "n": 10}))
+        for opt, alpha in ([], 0.5), (["--opt", "theta0=[0.7,1.0]"], 0.7):
+            out = tmp_path / f"d{alpha}.csv"
+            code, _, err = _run(capsys, ["gen-data", "--config", str(conf),
+                                         "--out", str(out)] + opt)
+            assert code == 0, err
+            assert list(load_dataset(out).true_theta.alpha) == [alpha]
+
 
 class TestRunChain:
     def test_fixed_start_trace(self, tmp_path, capsys):
@@ -222,6 +234,38 @@ class TestErrors:
             "table1", "--config", str(conf), "--out", str(tmp_path / "o")])
         assert code == 2
         assert "'startz'" in json.loads(err)["error"]["message"]
+
+    @pytest.mark.parametrize("command", ["gen-data", "diagnose"])
+    @pytest.mark.parametrize("settings, message", [
+        ({"sed": 3}, "'sed' for gen-data config file; known: seed"),
+        ({"options": 5}, "options in one")])
+    def test_bad_config_file_exits_2(self, tmp_path, capsys, command,
+                                     settings, message):
+        """A misspelt top-level key ("sed" for "seed") would run with the
+        default seed, and ``options`` that are not a JSON object cannot
+        take the ``--opt`` pairs: both exit 2, and nothing is written."""
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps(settings))
+        code, _, err = _run(capsys, [command, "--config", str(conf),
+                                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        msg = json.loads(err)["error"]["message"]
+        assert message.replace("gen-data", command) in msg
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, key", [
+        ("gen-data", "theta"), ("run-chain", "record"),
+        ("build-reference", "lenght")])
+    def test_unknown_option_in_config_file_outside_plans(self, tmp_path,
+                                                         capsys, command,
+                                                         key):
+        conf = tmp_path / "c.json"
+        conf.write_text(json.dumps({"options": {key: 5}}))
+        code, _, err = _run(capsys, [command, "--config", str(conf),
+                                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert f"'{key}'" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "o").exists()
 
     def test_missing_config_file(self, capsys):
         code, _, err = _run(capsys, ["gen-data", "--config", "/no/such.json"])

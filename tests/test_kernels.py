@@ -42,6 +42,7 @@ from mcmcdegen.model import (
 )
 from mcmcdegen.sampling import (MASS_FLOOR, DegenerateIntervalError,
                                 RngStream, SamplingError, truncated_normal_vec)
+from test_sampling import _oracle_truncated_normal_vec
 
 
 def _prepared_state(cfg, data, variant, theta, g, rng):
@@ -473,16 +474,19 @@ class _PinnedUniforms:
         return getattr(self._gen, name)
 
 
-def _refuse(*args):
-    return None
+def _oracle(mean, sd, lo, hi, rng):
+    """``truncated_normal_vec`` by the frozen reference; ``mean`` None is
+    0.0."""
+    return _oracle_truncated_normal_vec(0.0 if mean is None else mean, sd,
+                                        lo, hi, rng)
 
 
 def _generic_sweep(cfg, data, state, variant, rng):
     """The sweep ``kernel_step`` runs for a batch of several chains, with
-    ``_bulk_windows`` refusing every window: each draw then takes
-    ``truncated_normal_vec``'s array path, a reference that shares no code
-    with the one-chain sweep's bulk and float draws."""
-    with mock.patch.object(kernels, "_bulk_windows", _refuse):
+    every window drawn by the frozen reference
+    ``_oracle_truncated_normal_vec``, which shares no code with the
+    one-chain sweep's array and float draws."""
+    with mock.patch.object(kernels, "truncated_normal_vec", _oracle):
         draw_latent(cfg, data, state, variant, rng)
         update_g(cfg, data, state, variant, rng)
         if variant.parameterization == "null":
@@ -552,9 +556,10 @@ class TestOneChainSweep:
     @pytest.mark.parametrize("variant", ["binary-beta", "binary-null"])
     def test_tail_latent_falls_back_before_any_uniform(self, variant,
                                                        monkeypatch):
-        """Latent windows 40+ sd out: ``_bulk_windows`` refuses the sweep's
-        (n,) latent block, which reaches the array path with the stream as
-        it found it."""
+        """Latent windows 40+ sd out, whose mass underflows: the one-chain
+        sweep's (n,) latent block reaches ``truncated_normal_vec`` with the
+        stream as it found it, and the rescue draws what the reference
+        sweep draws."""
         cfg = ModelConfig(c=2)
         x = np.concatenate([np.linspace(0.05, 0.6, 36),
                             [0.93, 0.96, 0.99, 1.0]])
@@ -632,18 +637,29 @@ class TestOneChainSweep:
                 sweep(cfg, data, state, VariantId.parse("binary-null"), rng)
 
 
-def _array_path(mean, sd, lo, hi, rng):
-    """``_draw_window`` without the bulk draw: the array path, then the
-    elementwise rescue. Returns the draw's bytes, or the exception's type,
-    with the stream state."""
-    try:
+def _oracle_path(mean, sd, lo, hi, rng):
+    """``_draw_window`` on the frozen reference: the oracle, then
+    ``_draw_careful`` with its elementwise draws by the oracle too. Returns
+    the draw's bytes, or the exception's type, with the stream state."""
+    def draw(mean, sd, lo, hi, rng):
         try:
-            out = truncated_normal_vec(mean, sd, lo, hi, rng)
+            return _oracle(mean, sd, lo, hi, rng)
         except DegenerateIntervalError:
-            out = kernels._draw_careful(mean, sd, lo, hi, rng)
+            return kernels._draw_careful(0.0 if mean is None else mean, sd,
+                                         lo, hi, rng)
+
+    with mock.patch.object(kernels, "truncated_normal_vec", _oracle):
+        return _outcome(draw, mean, sd, lo, hi, rng)
+
+
+def _outcome(draw, *args):
+    """What ``draw(*args)`` returns, as bytes, or the type of what it
+    raises, with the state of the stream, its last argument."""
+    try:
+        out = draw(*args).tobytes()
     except (ValueError, RuntimeError) as exc:
-        return type(exc), _stream_state(rng)
-    return out.tobytes(), _stream_state(rng)
+        out = type(exc)
+    return out, _stream_state(args[-1])
 
 
 def _cut_point_windows(batch=144):
@@ -657,9 +673,9 @@ def _cut_point_windows(batch=144):
 
 
 class TestBulkWindows:
-    """``_bulk_windows``, the one bulk draw of every sweep, against the
-    array path of ``truncated_normal_vec``: every byte and the Philox
-    stream state must agree, and a refused call must draw nothing."""
+    """``truncated_normal_vec`` on the sweeps' windows, in place, against
+    the frozen reference ``_oracle_truncated_normal_vec``: every byte, or
+    the exception's type, and the Philox stream state must agree."""
 
     @pytest.mark.parametrize("c", [2, 3, 4])
     @pytest.mark.parametrize("parameterization", ["null", "beta"])
@@ -684,12 +700,11 @@ class TestBulkWindows:
                                          bx if null else None)
         assert lo.shape == (batch, data.n)
         mean, sd = (None if null else -bx), (1.0 / g)[:, None]
-        rng = RngStream(64, c, parameterization)
-        got = kernels._bulk_windows(mean, sd, lo, hi, rng.generator)
-        assert got is not None
-        want = _array_path(0.0 if null else mean, sd, lo, hi,
-                           RngStream(64, c, parameterization))
-        assert (got.tobytes(), _stream_state(rng)) == want
+        got = _outcome(truncated_normal_vec, mean, sd, lo, hi,
+                       RngStream(64, c, parameterization))
+        assert got == _outcome(_oracle, mean, sd, lo, hi,
+                               RngStream(64, c, parameterization))
+        assert isinstance(got[0], bytes)
 
     @pytest.mark.parametrize("ulps", [False, True])
     def test_cut_point_windows_match_array_path(self, ulps):
@@ -700,20 +715,19 @@ class TestBulkWindows:
         if ulps:
             lo = -5.5 * sd
             hi = lo + (1 + np.arange(lo.size) % 8) * np.spacing(-lo)
-        rng = RngStream(65)
-        got = kernels._bulk_windows(None, sd, lo, hi, rng.generator)
-        assert got is not None
-        want = _array_path(0.0, sd, lo, hi, RngStream(65))
-        assert (got.tobytes(), _stream_state(rng)) == want
+        got = _outcome(truncated_normal_vec, None, sd, lo, hi, RngStream(65))
+        assert got == _outcome(_oracle, None, sd, lo, hi, RngStream(65))
+        assert isinstance(got[0], bytes)
 
     @pytest.mark.parametrize("case", ["tail", "underflow", "shut", "no-window",
                                       "zero-sd", "negative-sd", "nan-sd",
                                       "zero-float-sd", "nan-float-sd"])
     def test_refusals_draw_nothing(self, case):
         """One window past 6 sd, one without double mass, one shut, none at
-        all, or an sd that is not positive: ``_bulk_windows`` refuses
-        before any uniform, and ``_draw_window`` then draws what the array
-        path and the rescue draw."""
+        all, or an sd that is not positive: ``truncated_normal_vec`` draws
+        or raises as the reference does, and a raise draws no uniform.
+        ``_draw_window`` then draws what the reference and the rescue on
+        it draw."""
         lo, hi, sd = _cut_point_windows()
         if case == "tail":
             lo[5], hi[5] = 7.0 * sd[5], np.inf
@@ -730,16 +744,14 @@ class TestBulkWindows:
             lo[5], hi[5] = -1.0, 1.0
             sd[5] = {"zero-sd": 0.0, "negative-sd": -1.0,
                      "nan-sd": np.nan}[case]
-        rng = RngStream(66, case)
-        fresh = _stream_state(rng)
-        assert kernels._bulk_windows(None, sd, lo, hi, rng.generator) is None
-        assert _stream_state(rng) == fresh
+        fresh = _stream_state(RngStream(66, case))
+        got = _outcome(truncated_normal_vec, None, sd, lo, hi,
+                       RngStream(66, case))
+        assert got == _outcome(_oracle, None, sd, lo, hi, RngStream(66, case))
+        assert (got[1] == fresh) == (case != "tail")
         if case == "underflow":
             mass = norm.cdf(hi[5] / sd[5]) - norm.cdf(lo[5] / sd[5])
             assert mass < MASS_FLOOR
-        try:
-            got = kernels._draw_window(None, sd, lo, hi, rng).tobytes()
-        except (ValueError, RuntimeError) as exc:
-            got = type(exc)
-        assert (got, _stream_state(rng)) == _array_path(
-            0.0, sd, lo, hi, RngStream(66, case))
+        assert _outcome(kernels._draw_window, None, sd, lo, hi,
+                        RngStream(66, case)) == _oracle_path(
+            None, sd, lo, hi, RngStream(66, case))

@@ -164,7 +164,8 @@ class TestTruncatedNormal:
     def test_window_guard_raises_without_assert(self, monkeypatch):
         # A draw outside its window (here NaN from a broken inverse CDF)
         # raises SamplingError, which ``python -O`` does not strip.
-        monkeypatch.setattr(sampling, "ndtri", lambda u: np.full_like(u, np.nan))
+        monkeypatch.setattr(sampling, "ndtri",
+                            lambda u, out=None: np.full_like(u, np.nan))
         with pytest.raises(SamplingError):
             truncated_normal_vec(0.0, 1.0, np.zeros(3), np.ones(3),
                                  RngStream(14))
