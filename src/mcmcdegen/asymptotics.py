@@ -28,7 +28,6 @@ from .model import (
     ModelConfig,
     NumericalFailure,
     Theta,
-    _log_posterior_row,
     fisher_information,
     log_posterior_batch,
     scale_constants,
@@ -39,7 +38,6 @@ from .sampling import RngStream
 SIR_POOL = 8192          # default SIR pool, and the pool of every R and Rprime bank
 _INFLATE = 1.6           # first scale of the SIR proposal on the Laplace covariance
 _HESSIAN_STEP = 1e-4     # relative finite-difference step of _hessian_fd
-_POSTERIOR_CHUNK = 1024  # draws per log_posterior_batch call in _log_posterior_vec
 
 
 @dataclasses.dataclass
@@ -127,6 +125,9 @@ def build_reference(cfg: ModelConfig, data: Dataset, seed: int,
     non-convergence: on failure the run length is doubled once and a warning
     is recorded either way.
     """
+    if thin < 1 or burn < 0 or length < 2 * thin:  # the check needs two rows
+        raise ValueError(f"need thin >= 1, burn >= 0 and length >= 2 thin; got "
+                         f"length={length}, burn={burn}, thin={thin}")
     variant = VariantId.parse("binary-beta" if cfg.c == 2 else "beta")
     rng = RngStream(seed, "reference")
     mode = _posterior_mode(cfg, data)
@@ -168,19 +169,20 @@ def _with_bvm(cfg: ModelConfig, data: Dataset, sample: np.ndarray,
 
 
 def _free_to_cone(vec: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """The cut-points cumsum(exp(v)) of the first k free coordinates, and
-    the slopes."""
-    return np.cumsum(np.exp(vec[:k])) if k else np.empty(0), vec[k:]
+    """One row's cut-points cumsum(exp(v)) of the first k free coordinates,
+    and its slopes, as (1, k) and (1, p) blocks."""
+    return np.cumsum(np.exp(vec[None, :k]), axis=1), vec[None, k:]
 
 
 def _posterior_mode(cfg: ModelConfig, data: Dataset) -> Theta:
-    """Posterior mode via a smooth reparameterization of the ordering cone."""
+    """Posterior mode via a smooth reparameterization of the ordering cone;
+    each Nelder-Mead evaluation scores one row of ``log_posterior_batch``."""
     from scipy import optimize
 
     k = cfg.c - 2
 
     def neg(v):
-        val = _log_posterior_row(*_free_to_cone(v, k), data)
+        val = log_posterior_batch(cfg, *_free_to_cone(v, k), data)[0]
         return -val if math.isfinite(val) else 1e12
 
     v0 = np.concatenate([np.full(k, math.log(0.5)), np.zeros(cfg.p)])
@@ -189,41 +191,24 @@ def _posterior_mode(cfg: ModelConfig, data: Dataset) -> Theta:
     if not np.all(np.isfinite(res.x)):
         raise NumericalFailure("posterior mode search failed")
     alpha, beta = _free_to_cone(res.x, k)
-    return Theta(alpha=alpha, beta=beta)
+    return Theta(alpha=alpha[0], beta=beta[0])
 
 
 def _hessian_fd(fun, x0: np.ndarray) -> np.ndarray:
     d = x0.size
     H = np.empty((d, d))
-    steps = _HESSIAN_STEP * (1.0 + np.abs(x0))
+    E = np.diag(_HESSIAN_STEP * (1.0 + np.abs(x0)))  # row i: the step along coordinate i
     f0 = fun(x0)
     for i in range(d):
         for j in range(i, d):
-            ei = np.zeros(d)
-            ej = np.zeros(d)
-            ei[i] = steps[i]
-            ej[j] = steps[j]
+            ei, ej = E[i], E[j]
             if i == j:
-                val = (fun(x0 + ei) - 2.0 * f0 + fun(x0 - ei)) / steps[i] ** 2
+                val = (fun(x0 + ei) - 2.0 * f0 + fun(x0 - ei)) / E[i, i] ** 2
             else:
-                val = (
-                    fun(x0 + ei + ej) - fun(x0 + ei - ej)
-                    - fun(x0 - ei + ej) + fun(x0 - ei - ej)
-                ) / (4.0 * steps[i] * steps[j])
+                val = (fun(x0 + ei + ej) - fun(x0 + ei - ej) - fun(x0 - ei + ej)
+                       + fun(x0 - ei - ej)) / (4.0 * E[i, i] * E[j, j])
             H[i, j] = H[j, i] = val
     return H
-
-
-def _log_posterior_vec(cfg: ModelConfig, data: Dataset, vec: np.ndarray) -> np.ndarray:
-    vec = np.atleast_2d(vec)
-    k = cfg.c - 2
-    out = np.empty(vec.shape[0])
-    for start in range(0, vec.shape[0], _POSTERIOR_CHUNK):
-        block = vec[start : start + _POSTERIOR_CHUNK]
-        out[start : start + _POSTERIOR_CHUNK] = log_posterior_batch(
-            cfg, block[:, :k], block[:, k:], data
-        )
-    return out
 
 
 def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
@@ -236,14 +221,16 @@ def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
     effective-sample-size loss, and the bank is drawn without replacement by
     Gumbel-top-k on the log weights, so it carries no duplicate states. When
     the effective sample size falls under 5% of the pool the proposal is
-    widened and the pool redrawn (up to three rounds).
+    widened and the pool redrawn (up to three rounds). The mode search, the
+    Hessian (one row a call) and each pool score ``log_posterior_batch``.
     """
     from scipy import stats
 
     mode = _posterior_mode(cfg, data)
     x0 = mode.as_vector()
     k = cfg.c - 2
-    H = _hessian_fd(lambda v: -_log_posterior_row(v[:k], v[k:], data), x0)
+    H = _hessian_fd(
+        lambda v: -log_posterior_batch(cfg, v[None, :k], v[None, k:], data)[0], x0)
     try:
         cov = np.linalg.inv(0.5 * (H + H.T))
         np.linalg.cholesky(cov)
@@ -261,7 +248,7 @@ def build_reference_sir(cfg: ModelConfig, data: Dataset, size: int,
                                         method="cholesky")
         logq = stats.multivariate_normal(mean=x0, cov=prop_cov,
                                          allow_singular=False).logpdf(draws)
-        logp = _log_posterior_vec(cfg, data, draws)
+        logp = log_posterior_batch(cfg, draws[:, :k], draws[:, k:], data)
         logw = logp - logq
         logw[~np.isfinite(logw)] = -np.inf
         shifted = logw - logw.max()

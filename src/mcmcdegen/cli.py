@@ -90,10 +90,6 @@ def _setting(args, cfg: dict, name: str, default=None):
     return cfg.get(name, default)
 
 
-def _resolve_threads(args, cfg) -> int:
-    return max(1, int(_setting(args, cfg, "threads") or 1))
-
-
 def _model_for(c: int, p: int) -> ModelConfig:
     return ModelConfig(c=c, covariates=CovariateSpec(p=p))
 
@@ -200,7 +196,7 @@ def _plan_from_args(args, cfg: dict,
           "R": _setting(args, cfg, "R"),
           "p": _setting(args, cfg, "p"),
           "options": opts,
-          "threads": _resolve_threads(args, cfg)}
+          "threads": _setting(args, cfg, "threads")}
     n = _setting(args, cfg, "n") or cfg.get("n_list")
     if n is not None:
         kw["n_list"] = tuple(n) if not isinstance(n, str) else _int_list(n)
@@ -212,8 +208,9 @@ def _plan_from_args(args, cfg: dict,
     if cval is not None:
         kw["c_list"] = (tuple(cval) if isinstance(cval, (list, tuple))
                         else _int_list(str(cval)))
-    kw = {k: (int(v) if k in ("master_seed", "m", "R", "p") and v is not None
-              else v) for k, v in kw.items()}
+    ints = ("master_seed", "m", "R", "p", "threads")
+    kw = {k: int(v) if k in ints and v is not None else v
+          for k, v in kw.items()}
     return harness.make_plan(scenario, **kw)
 
 

@@ -43,11 +43,11 @@ import numpy as np
 from . import svg
 from .kernels import (VariantId, check_variant, load_trace, run_chain,
                       trace_filename, transform_dim)
-from .metrics import (DiagnosticsReport, check_settings, classify_table1,
-                      estimate_R, estimate_Rprime, one_step_statistic,
-                      table1_transform)
+from .metrics import (TABLE1_N, DiagnosticsReport, check_settings,
+                      classify_table1, estimate_R, estimate_Rprime,
+                      one_step_statistic, table1_transform)
 from .model import CovariateSpec, ModelConfig, Theta, sample_dataset
-from .sampling import RngStream
+from .sampling import RngStream, check_count
 
 __all__ = [
     "DEFAULT_THETA0", "ExperimentPlan", "RunManifest", "default_theta0",
@@ -138,7 +138,9 @@ def check_option_keys(options: dict, known, owner: str) -> None:
 
 def make_plan(scenario: str, **kw) -> ExperimentPlan:
     """Build a plan from scenario defaults overlaid with keyword choices;
-    a setting that any (variant, c) cell would refuse is refused here."""
+    a setting that any (variant, c) cell would refuse is refused here, and
+    so are an empty or repeated grid value, a negative count and a table1
+    grid without ``TABLE1_N``."""
     if scenario not in _DEFAULTS:
         raise ValueError(f"unknown scenario {scenario!r}; expected one of "
                          f"{', '.join(_DEFAULTS)}")
@@ -161,6 +163,17 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
             f"scenario {scenario!r} draws the variants "
             f"{', '.join(_DEFAULTS[scenario]['variants'])}; got "
             f"{', '.join(plan.variants)}")
+    for name in ("variants", "c_list", "n_list"):  # one cell per combination
+        axis = tuple(getattr(plan, name))
+        if not axis or len(set(axis)) < len(axis):
+            raise ValueError(f"{name} needs one or more values, none "
+                             f"repeated; got {axis}")
+    for n in plan.n_list:
+        check_count("n", n)
+    check_count("m", plan.m, 0)
+    check_count("threads", plan.threads)
+    one_step_counts = {k: v for k, v in plan.options.items()
+                       if k in ("datasets", "inner", "starts")}
     for c in plan.c_list:
         cfg = _model(plan, c)  # refuses c < 2 and p < 1
         for variant in map(VariantId.parse, plan.variants):
@@ -172,10 +185,13 @@ def make_plan(scenario: str, **kw) -> ExperimentPlan:
                 check_settings(variant, cfg, transform, plan.R,
                                m=None if scenario == "table1" else plan.m,
                                reference_size=_reference_rows(plan),
-                               **_sir_sizes(plan))
+                               **_sir_sizes(plan), **one_step_counts)
                 if scenario != "table1":  # estimate_Rprime's banks: SIR_POOL
                     check_settings(variant, cfg, transform, plan.R, m=plan.m,
                                    bank_size=_sir_sizes(plan)["bank_size"])
+    if scenario == "table1" and not set(TABLE1_N) <= set(plan.n_list):
+        raise ValueError(f"table1 labels each kernel on n = {list(TABLE1_N)}; "
+                         f"got n_list={tuple(plan.n_list)}")
     return plan
 
 

@@ -44,7 +44,7 @@ from .sampling import (
     truncated_normal_extended,
     truncated_normal_vec,
 )
-from .sampling import _all, _any, _max, _min, _window_float
+from .sampling import _all, _any, _max, _min, _window_float, check_count
 
 VARIANT_NAMES = ("binary-null", "binary-beta", "null", "beta", "null-ma", "beta-ma")
 
@@ -567,6 +567,8 @@ def run_chain(cfg: ModelConfig, data: Dataset, variant: VariantId | str,
     an existing batch instead of building one from the init policy.
     """
     variant = VariantId.parse(variant)
+    check_count("n_steps (m)", n_steps, 0)
+    check_count("record_every", record_every)
     if state is None:
         state = initial_state(cfg, variant, batch, rng, init=init, theta=theta,
                               reference=reference)

@@ -35,7 +35,7 @@ import numpy as np
 from . import asymptotics
 from .kernels import VariantId, check_variant, initial_state, run_chain, transform_dim
 from .model import ModelConfig, Theta, sample_dataset
-from .sampling import RngStream
+from .sampling import RngStream, check_count
 
 
 def table1_transform(variant: VariantId | str, c: int) -> str:
@@ -230,11 +230,12 @@ def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
                    R: int, *, m: int | None = None, coords=None,
                    reference_size: int | None = None,
                    bank_size: int | None = None,
-                   pool: int | None = None) -> VariantId:
+                   pool: int | None = None, **counts) -> VariantId:
     """Refuse estimator settings no run could use; returns the variant. The
     kernel and transform must be defined at (c, p), ``coords`` within the
-    transform, R >= 2, m >= 2, ``reference_size`` >= m, and each SIR bank
-    smaller than its pool (``_check_pool``)."""
+    transform, R >= 2, m >= 2, ``reference_size`` >= m, each SIR bank
+    nonempty and smaller than its pool (``_check_pool``), and each of
+    ``counts`` (the one-step ``datasets``, ``inner``, ``starts``) >= 1."""
     variant = VariantId.parse(variant)
     check_variant(variant, cfg.c)
     dim = transform_dim(transform, cfg.c, cfg.p)
@@ -249,6 +250,8 @@ def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
                          "distinct reference rows")
     _check_pool("bank_size", bank_size, pool)
     _check_pool("reference_size", reference_size, None)
+    for name, value in counts.items():
+        check_count(name, value)
     return variant
 
 
@@ -257,8 +260,11 @@ def _check_pool(name: str, size: int | None, pool: int | None) -> None:
     the fixed ``asymptotics.SIR_POOL``): the bank needs a Kish effective
     sample size of ``size``, which reaches the pool only if every importance
     weight is equal."""
+    if size is None:
+        return
+    check_count(name, size)
     limit = asymptotics.SIR_POOL if pool is None else pool
-    if size is not None and size >= limit:
+    if size >= limit:
         where = (f"pool={pool}" if pool is not None
                  else f"{limit}, the fixed SIR pool of R and R' banks")
         raise ValueError(f"{name}={size} >= {where}: a SIR bank needs a "
@@ -370,10 +376,11 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
     """
     if coords is not None:
         coords = list(np.atleast_1d(coords))
-    variant = check_settings(variant, cfg, transform, R, coords=coords,
-                             bank_size=bank_size, pool=pool)
     if datasets is None:
         datasets = max(2, min(8, math.ceil(R / 16)))
+    variant = check_settings(variant, cfg, transform, R, coords=coords,
+                             bank_size=bank_size, pool=pool, inner=inner,
+                             starts=starts, datasets=datasets)
     per = math.ceil(R / datasets)
     root = RngStream(master_seed, "one-step", variant.name, n, transform)
     values, labels = [], []
@@ -410,6 +417,11 @@ def one_step_statistic(variant: VariantId | str, cfg: ModelConfig, n: int,
     )
 
 
+#: The sample sizes ``classify_table1`` labels each kernel on; a table1
+#: plan must run all three.
+TABLE1_N = (100, 400, 1600)
+
+
 def classify_table1(results: dict) -> dict:
     """Label kernels from one-step statistics on the n-grid {100, 400, 1600}.
 
@@ -420,14 +432,13 @@ def classify_table1(results: dict) -> dict:
     is inconclusive. Raw numbers ride along so the thresholds stay
     auditable.
     """
-    grid = (100, 400, 1600)
     out = {}
     for cell, by_n in results.items():
-        missing = [n for n in grid if n not in by_n]
+        missing = [n for n in TABLE1_N if n not in by_n]
         if missing:
             raise ValueError(f"cell {cell}: missing n = {missing}")
-        d = {n: by_n[n].value("D") for n in grid}
-        se = {n: by_n[n].se("D") for n in grid}
+        d = {n: by_n[n].value("D") for n in TABLE1_N}
+        se = {n: by_n[n].se("D") for n in TABLE1_N}
         decreasing = d[100] > d[400] > d[1600]
         margin = d[100] / 2.0 - d[1600]
         pooled = math.sqrt((se[100] / 2.0) ** 2 + se[1600] ** 2)

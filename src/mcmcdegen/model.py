@@ -23,12 +23,13 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr
 
-from .sampling import RngStream, _any, _sum
+from .sampling import RngStream, _all, _any, _sum, check_count
 
 _NORM_CONST = 1.0 / math.sqrt(2.0 * math.pi)
 _FISHER_BLOCK = 4096   # Monte Carlo rows per block in fisher_information; bounds its temporaries
 _LIKELIHOOD_CHUNK = 4096    # observations per chunk in log_likelihood_batch
 _LIKELIHOOD_BLOCK = 1 << 15  # draw x observation cells per block; keeps its temporaries in L2
+_DRAW_CHUNK = 1024          # draws per b'x product in log_likelihood_batch; bounds its memory
 _QUAD_TOL = 1e-12           # absolute and relative tolerance of the scale-constant quadratures
 _FISHER_QUAD_TOL = 1e-10    # the same for the information quadrature at p = 1
 _PRIOR_ROUNDS = 10_000      # rejection rounds of prior_theta_draws before it gives up
@@ -219,6 +220,7 @@ def cell_probabilities(cfg: ModelConfig, theta: Theta, x) -> np.ndarray:
 def sample_dataset(cfg: ModelConfig, theta0: Theta, n: int, seed: int) -> Dataset:
     """Generate n observations: x uniform on the unit cube, y from the model."""
     cfg.validate_theta(theta0)
+    check_count("n", n)
     rng = RngStream(seed, "dataset")
     gen = rng.generator
     x = gen.random((n, cfg.p))
@@ -354,6 +356,20 @@ def score_second_moment() -> float:
     return float(val)
 
 
+def _off_cone(out: np.ndarray, alpha: np.ndarray) -> np.ndarray:
+    """``out``, -inf on the rows of ``alpha`` off the cone 0 < a2 < ... (NaN too)."""
+    if alpha.shape[1]:
+        out[~(_all(alpha > 0, axis=1)
+              & _all(alpha[:, 1:] > alpha[:, :-1], axis=1))] = -np.inf
+    return out
+
+
+def _prior_exponent(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """The log prior inside the cone, up to its constant."""
+    return (-0.5 * _sum(alpha * alpha, axis=1) / SIGMA_ALPHA ** 2
+            - 0.5 * _sum(beta * beta, axis=1) / SIGMA_BETA ** 2)
+
+
 def log_prior(cfg: ModelConfig, alpha, beta) -> np.ndarray:
     """Unnormalized log prior density over batches of (alpha, beta).
 
@@ -362,56 +378,51 @@ def log_prior(cfg: ModelConfig, alpha, beta) -> np.ndarray:
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    out = -0.5 * np.sum(alpha * alpha, axis=1) / SIGMA_ALPHA ** 2
-    out = out - 0.5 * np.sum(beta * beta, axis=1) / SIGMA_BETA ** 2
-    if alpha.shape[1]:
-        ok = np.all(alpha > 0, axis=1) & np.all(np.diff(alpha, axis=1) > 0, axis=1)
-        out = np.where(ok, out, -np.inf)
-    return out
+    return _off_cone(_prior_exponent(alpha, beta), alpha)
 
 
 def log_likelihood_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.ndarray:
     """Log likelihood of the dataset at a batch of parameter values.
 
-    Vectorized over a (B, c-2) cut block and (B, p) slope block; rows with
-    an invalid cone get -inf, and so does a row with a cell whose
-    probability rounds to 0 or below.
-
-    The observations are taken in chunks of ``_LIKELIHOOD_CHUNK``, and
-    within a chunk b'x is one matrix product over the whole batch. The
-    draws are then scored in row blocks of about ``_LIKELIHOOD_BLOCK``
-    cells, so every temporary stays in cache. Within a block each
-    category's observations (``Dataset.category_rows``) are gathered once
-    and need one ``ndtr`` at an end category, two in the middle:
-    category 1 has Phi(0 + b'x), category c has 1 - Phi(alpha^{c-1} +
-    b'x). The cells are scattered back into observation order before the
-    log and the row sum, so every value has the bits of the plain
-    two-sided formula on finite parameters: each cell takes the same
-    floating-point operations, and each row is summed in the same order.
-    The product b'x stays whole across the batch because the BLAS may
-    round a row differently when it is computed in a smaller block.
+    Vectorized over a (B, c-2) cut block and (B, p) slope block; rows off
+    the cone get -inf, as does a row with a cell that rounds to 0 or below.
+    The observations are taken in chunks of ``_LIKELIHOOD_CHUNK`` and the
+    draws in chunks of ``_DRAW_CHUNK``: b'x is one matrix product per pair
+    of chunks, which bounds its memory. The rows are scored in blocks of
+    about ``_LIKELIHOOD_BLOCK`` cells, so every temporary stays in cache.
+    Within a block each category's observations (``Dataset.category_rows``)
+    are gathered once and need one ``ndtr`` at an end category, two in the
+    middle: category 1 has Phi(0 + b'x), category c has 1 - Phi(alpha^{c-1}
+    + b'x). The cells are scattered back into observation order before the
+    log and the row sum, so every value has the bits of the plain two-sided
+    formula on finite parameters. At p > 1 the BLAS may round a row of b'x
+    differently in a product of another row count, so a call of more than
+    ``_DRAW_CHUNK`` rows may differ in its last bits from a whole-batch
+    product; no caller relies on one (SIR always cut its pool this way).
     """
     alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
     beta = np.atleast_2d(np.asarray(beta, dtype=float))
     B, c = alpha.shape[0], alpha.shape[1] + 2
     out = np.zeros(B)
-    valid = np.ones(B, dtype=bool)
-    if c > 2:
-        valid = np.all(alpha > 0, axis=1) & np.all(np.diff(alpha, axis=1) > 0, axis=1)
     cuts = np.concatenate([np.zeros((B, 1)), alpha], axis=1)  # alpha^1 .. alpha^{c-1}
     for start, stop, groups in data._likelihood_chunks:
-        bx = beta @ data.x[start:stop].T
+        xt = data.x[start:stop].T
         step = max(1, _LIKELIHOOD_BLOCK // (stop - start))
-        for r0 in range(0, B, step):
-            rb = slice(r0, r0 + step)
-            cell = _category_cells(bx[rb], cuts[rb], groups, c)
-            bad = cell <= 0
-            cell[bad] = 1.0
-            np.log(cell, out=cell)
-            out[rb] += cell.sum(axis=1)
-            out[rb][bad.any(axis=1)] = -np.inf
-    out[~valid] = -np.inf
-    return out
+        for d0 in range(0, B, _DRAW_CHUNK):
+            bx = beta[d0 : d0 + _DRAW_CHUNK] @ xt
+            for r0 in range(0, bx.shape[0], step):
+                block = bx[r0 : r0 + step]
+                rows = slice(d0 + r0, d0 + r0 + block.shape[0])
+                cell = _category_cells(block, cuts[rows], groups, c)
+                bad = cell <= 0
+                hit = _any(bad, axis=None)
+                if hit:
+                    cell[bad] = 1.0
+                np.log(cell, out=cell)
+                out[rows] += _sum(cell, axis=1)
+                if hit:
+                    out[rows][_any(bad, axis=1)] = -np.inf
+    return _off_cone(out, alpha)
 
 
 def _category_cells(bx: np.ndarray, cuts: np.ndarray, groups: list,
@@ -419,51 +430,31 @@ def _category_cells(bx: np.ndarray, cuts: np.ndarray, groups: list,
     """Cell probabilities P(y_i | x_i) of a row block, in observation order.
 
     ``groups`` pairs each category j present with its columns of ``bx``;
-    ``cuts`` holds the block's alpha^1 = 0 .. alpha^{c-1} along its last
-    axis. A block may also be one row: ``bx`` and ``cuts`` 1-D.
+    ``cuts`` holds the block's alpha^1 = 0 .. alpha^{c-1} in its columns.
     """
     cell = np.empty(bx.shape)
     for j, cols in groups:
-        b = bx[..., cols]
+        b = bx[:, cols]
         if j == c:
-            p = ndtr(cuts[..., j - 2, None] + b)
+            p = ndtr(cuts[:, j - 2, None] + b)
             np.subtract(1.0, p, out=p)
         else:
-            p = ndtr(cuts[..., j - 1, None] + b)
+            p = ndtr(cuts[:, j - 1, None] + b)
             if j > 1:
-                p -= ndtr(cuts[..., j - 2, None] + b)
-        cell[..., cols] = p
+                p -= ndtr(cuts[:, j - 2, None] + b)
+        cell[:, cols] = p
     return cell
 
 
 def log_posterior_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.ndarray:
-    """Unnormalized log posterior over a batch of parameter values."""
-    return log_prior(cfg, alpha, beta) + log_likelihood_batch(cfg, alpha, beta, data)
-
-
-def _log_posterior_row(alpha: np.ndarray, beta: np.ndarray,
-                       data: Dataset) -> float:
-    """``log_posterior_batch`` on a batch of the one value (1-D ``alpha``
-    and ``beta``), with the same bits: the prior's and likelihood's
-    operations in their order, without the batch's validation and block
-    loop. b'x stays a (1, n) product, which a one-row product may round
-    differently; each chunk's cell logs are summed over one row."""
-    a = alpha.tolist()
-    if any(v <= 0 for v in a) or any(v <= u for u, v in zip(a, a[1:])):
-        return -math.inf
-    prior = (-0.5 * _sum(alpha * alpha) / SIGMA_ALPHA ** 2
-             - 0.5 * _sum(beta * beta) / SIGMA_BETA ** 2)
-    cuts = np.concatenate(([0.0], alpha))
-    beta = beta.reshape(1, -1)
-    total = 0.0
-    for start, stop, groups in data._likelihood_chunks:
-        cell = _category_cells((beta @ data.x[start:stop].T)[0], cuts, groups,
-                               alpha.size + 2)
-        if _any(cell <= 0):
-            total = -math.inf
-        else:
-            total += _sum(np.log(cell, out=cell))
-    return prior + total
+    """Unnormalized log posterior over a batch of parameter values: the mode
+    search and the Hessian score one row, SIR the whole pool. The
+    likelihood is -inf wherever the prior is (off the cone, NaN cut-points
+    included), so the prior's exponent is added only elsewhere."""
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
+    beta = np.atleast_2d(np.asarray(beta, dtype=float))
+    out = log_likelihood_batch(cfg, alpha, beta, data)
+    return np.add(out, _prior_exponent(alpha, beta), out=out, where=out != -np.inf)
 
 
 def prior_theta_draws(cfg: ModelConfig, size: int, rng: RngStream) -> np.ndarray:

@@ -46,6 +46,13 @@ class SamplingError(RuntimeError):
     """Raised when a sampler returns a draw outside its window."""
 
 
+def check_count(name: str, value: int, least: int = 1) -> None:
+    """Refuse a count setting (observations, steps, chains) below ``least``
+    with a ValueError that names it."""
+    if value < least:
+        raise ValueError(f"need {name} >= {least}, got {value}")
+
+
 def _path_entry(part) -> int:
     """Map a stream path component to a stable nonnegative integer."""
     if isinstance(part, (int, np.integer)):

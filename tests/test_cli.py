@@ -293,6 +293,68 @@ class TestErrors:
             "cells"]["diagnose/binary-null/c2/n20/one_step"]
         assert cell["error"] == "ValueError: synthetic cell failure"
 
+    _SMALL_PLAN = ["--R", "2", "--opt", "inner=2", "--opt", "starts=2",
+                   "--opt", "bank_size=64", "--opt", "pool=512"]
+
+    @pytest.mark.parametrize("argv, message", [
+        (["diagnose", "--n", "40", "--opt", "inner=0"], "need inner >= 1"),
+        (["diagnose", "--n", "40", "--opt", "starts=0"], "need starts >= 1"),
+        (["diagnose", "--n", "40", "--opt", "bank_size=0"],
+         "need bank_size >= 1"),
+        (["table1", "--n", "100,400,1600", "--c", "2", "--variant", "null",
+          "--opt", "datasets=0"], "need datasets >= 1"),
+        (["diagnose", "--n", "0"], "need n >= 1, got 0"),
+        (["diagnose", "--n", "-5"], "need n >= 1, got -5"),
+        (["diagnose", "--n", ","], "n_list needs one or more values"),
+        (["diagnose", "--n", "40,40"], "none repeated; got (40, 40)"),
+        (["diagnose", "--n", "40", "--variant", "binary-null,binary-null"],
+         "variants needs one or more values, none repeated"),
+        (["table1", "--n", "100,400", "--c", "2", "--variant", "null"],
+         "table1 labels each kernel on n = [100, 400, 1600]"),
+        (["figure", "--scenario", "fig1", "--n", "40", "--m", "-2"],
+         "need m >= 0, got -2"),
+        (["diagnose", "--n", "40", "--threads", "0"], "need threads >= 1"),
+        (["diagnose", "--n", "40", "--threads", "-2"], "need threads >= 1"),
+    ], ids=["inner-0", "starts-0", "bank-size-0", "datasets-0", "n-0",
+            "n-negative", "n-empty", "n-repeated", "variant-repeated",
+            "table1-grid", "figure-m-negative", "threads-0",
+            "threads-negative"])
+    def test_degenerate_plan_exits_2(self, tmp_path, capsys, argv, message):
+        """A plan whose cells would crash, write NaN, run twice or feed a
+        reducer too little is refused before any work, naming the setting."""
+        small = [] if argv[0] == "figure" else self._SMALL_PLAN
+        code, _, err = _run(capsys, argv[:1] + small + argv[1:]  # argv wins
+                            + ["--out", str(tmp_path / "o")])
+        assert code == 2
+        assert message in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run-chain", "--m", "-1"], "need n_steps (m) >= 0, got -1"),
+        (["run-chain", "--opt", "record_every=0"], "need record_every >= 1"),
+        (["build-reference", "--opt", "length=0"], "length=0"),
+        (["build-reference", "--opt", "thin=0"], "thin=0"),
+        (["build-reference", "--opt", "length=200", "--opt", "burn=-5"],
+         "burn=-5"),
+        (["gen-data", "--n", "0"], "need n >= 1, got 0"),
+        (["gen-data", "--n", "-3"], "need n >= 1, got -3"),
+    ], ids=["run-chain-m-negative", "record-every-0", "length-0", "thin-0",
+            "burn-negative", "gen-data-n-0", "gen-data-n-negative"])
+    def test_degenerate_count_exits_2(self, tmp_path, capsys, argv, message):
+        """The single commands refuse a count that would crash or write an
+        empty result, naming it, before they write anything."""
+        out = tmp_path / "o" if argv[0] == "run-chain" else tmp_path / "o" / "x.csv"
+        code, _, err = _run(capsys, argv + ["--n", "30"] * ("--n" not in argv)
+                            + ["--out", str(out)])
+        assert code == 2
+        assert message in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_zero_steps_is_the_start_alone(self, tmp_path, capsys):
+        code, out, _ = _run(capsys, ["run-chain", "--n", "30", "--m", "0",
+                                     "--out", str(tmp_path)])
+        assert code == 0 and json.loads(out)["steps"] == 0
+
     def test_bad_figure_scenario(self, tmp_path, capsys):
         code, _, err = _run(capsys, [
             "figure", "--scenario", "fig9", "--out", str(tmp_path)])

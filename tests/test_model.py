@@ -16,7 +16,6 @@ from mcmcdegen.model import (
     ModelConfig,
     Theta,
     _cell_gradients,
-    _log_posterior_row,
     _phi,
     cell_probabilities,
     cumulative_probs,
@@ -419,17 +418,29 @@ class TestLikelihoodBits:
         _assert_bits(*_draws(c, p, B, seed, extreme=range(0, B, 11)), data)
 
 
+def _oracle_log_prior(alpha, beta):
+    """The prior written out: both quadratic forms, -inf off the ordered
+    cone (a NaN cut-point is off it)."""
+    alpha = np.atleast_2d(alpha)
+    beta = np.atleast_2d(beta)
+    out = (-0.5 * np.sum(alpha * alpha, axis=1) / model.SIGMA_ALPHA ** 2
+           - 0.5 * np.sum(beta * beta, axis=1) / model.SIGMA_BETA ** 2)
+    ok = np.all(alpha > 0, axis=1) & np.all(np.diff(alpha, axis=1) > 0, axis=1)
+    return np.where(ok, out, -np.inf)
+
+
 class TestLogPosteriorRow:
-    """The mode search's one-row log posterior keeps the bits of a batch
-    of one row (at p > 1 a larger batch may round b'x differently)."""
+    """The one-row log posterior of the mode search and the Hessian keeps
+    the bits of the oracle likelihood plus the prior (at p > 1 a larger
+    batch may round b'x differently)."""
 
     @staticmethod
     def _assert_rows(alpha, beta, data):
         cfg = ModelConfig(c=data.c, covariates=CovariateSpec(p=data.p))
-        want = np.array([log_posterior_batch(cfg, alpha[r:r + 1],
-                                             beta[r:r + 1], data)[0]
-                         for r in range(len(alpha))])
-        got = np.array([_log_posterior_row(a, b, data)
+        want = np.array([_oracle_log_prior(a, b)[0]
+                         + _oracle_log_likelihood(a, b, data)[0]
+                         for a, b in zip(alpha, beta)])
+        got = np.array([log_posterior_batch(cfg, a[None], b[None], data)[0]
                         for a, b in zip(alpha, beta)])
         assert got.tobytes() == want.tobytes()
         return want
@@ -465,6 +476,32 @@ class TestLogPosteriorRow:
         want = self._assert_rows(*_draws(3, 1, 12, seed=13, extreme=(0, 1, 2)),
                                  data)
         assert np.isfinite(want).sum() >= 8
+
+    @pytest.mark.parametrize("c", [3, 4])
+    def test_nan_cut_point_is_off_the_cone(self, c):
+        cfg = ModelConfig(c=c)
+        data = sample_dataset(cfg, Theta(alpha=tuple(0.7 * k for k in range(1, c - 1)),
+                                         beta=(-1.0,)), 200, seed=14)
+        alpha = np.full((1, c - 2), np.nan)
+        got = log_posterior_batch(cfg, alpha, np.array([[-1.0]]), data)
+        assert got.tobytes() == np.array([-np.inf]).tobytes()
+
+
+class TestDrawChunks:
+    def test_pool_equals_its_slices(self):
+        """One call over a pool of 2 500 rows at p = 2 has the bits of its
+        calls on the ``_DRAW_CHUNK``-row slices that SIR once cut."""
+        cfg = ModelConfig(c=3, covariates=CovariateSpec(p=2))
+        data = sample_dataset(cfg, Theta(alpha=(0.7,), beta=(-1.0, 0.5)), 300,
+                              seed=15)
+        alpha, beta = _draws(3, 2, 2500, seed=16, extreme=range(0, 2500, 97))
+        assert model._DRAW_CHUNK == 1024
+        whole = log_likelihood_batch(cfg, alpha, beta, data)
+        parts = np.concatenate([
+            log_likelihood_batch(cfg, alpha[s : s + 1024], beta[s : s + 1024], data)
+            for s in range(0, 2500, 1024)])
+        assert whole.tobytes() == parts.tobytes()
+        assert (whole == -np.inf).any() and np.isfinite(whole).sum() > 2000
 
 
 class TestCategoryIndex:
