@@ -7,9 +7,10 @@ proposal (``build_reference_sir``) when many independent references are
 needed cheaply. A normal surrogate N(theta_hat, I^{-1}/n) rides along as a
 cross-check, not as the target.
 
-The information side provides the augmented-model matrix K_M in the form a
-Monte Carlo score simulation supports (``km_matrix_effective``); for the
-probit link its slope block is half that of the quoted closed form.
+The information side gives the one-step normal approximation of the
+unaugmented beta kernels (``kernel_normal_approx``): K_M is the slope
+block's complete-data information J0 Sigma on the dataset's own covariate
+moments (``fisher_blocks``).
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .model import (
     Theta,
     fisher_information,
     log_posterior_batch,
-    scale_constants,
     score_second_moment,
 )
 from .sampling import RngStream
@@ -282,65 +282,23 @@ def sir_reference(cfg: ModelConfig, data: Dataset, size: int, seed: int,
     return _with_bvm(cfg, data, bank, {"method": "sir", "seed": seed} | meta, [])
 
 
-def km_matrix_effective(variant: VariantId | str, g: float, J0: float, K: float,
-                        L: float, Sigma: np.ndarray, mu: np.ndarray) -> np.ndarray:
-    """K_M with the slope block carrying J0 = E (phi'/phi)^2 instead of K.
-
-    Differentiating the complete-data log density in beta gives a score
-    -g w x with w standard under the model, whose second moment is
-    g^2 J0 Sigma; the quoted form puts K there instead, which for the probit
-    link overstates the block by a factor of two. The g-block K / g^2 and
-    the L-coupling agree between the two. The slope-only (unaugmented) beta
-    kernel fits the same scheme with g = 1 and no g row.
-    """
-    variant = VariantId.parse(variant)
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if variant.parameterization == "null":
-        if not variant.augmented:
-            raise ValueError("the unaugmented null kernel has no normal-score block")
-        return np.array([[K / g ** 2]])
-    if not variant.augmented:
-        return J0 * Sigma
-    p = Sigma.shape[0]
-    out = np.empty((p + 1, p + 1))
-    out[:p, :p] = g ** 2 * J0 * Sigma
-    out[:p, p] = L * mu
-    out[p, :p] = L * mu
-    out[p, p] = K / g ** 2
-    return out
-
-
 def fisher_blocks(variant: VariantId | str, cfg: ModelConfig, theta: Theta,
-                  data: Dataset | None = None):
-    """Assemble I and K_M for a beta-type kernel's moving block.
-
-    For the unaugmented beta kernels the moving block is the slope vector
-    (at c = 2 that is all of theta); the observed information comes from
-    fisher_information and K_M from the effective closed form, using the
-    dataset's empirical covariate moments when data is given (these are the
-    moments the kernel actually sees) and the population moments otherwise.
-    Returns (I, m_mask, K_M, findings): the full information matrix, the
-    boolean mask of the moving block, K_M, and a list of notes on sources.
+                  data: Dataset):
+    """Assemble I and K_M for an unaugmented beta kernel's moving block, the
+    slopes (all of theta at c = 2). I is fisher_information; K_M = J0 Sigma
+    is the second moment of the complete-data slope score -w x (w standard),
+    with Sigma = E[x x'] on the dataset, the moments the kernel sees (the
+    quoted closed form's K = 2 J0 doubles it). Returns (I, m_mask, K_M,
+    findings): I in full, the moving block's mask, K_M and source notes.
     """
     variant = VariantId.parse(variant)
     if variant.parameterization != "beta" or variant.augmented:
         raise ValueError("fisher_blocks covers the unaugmented beta kernels")
     fi = fisher_information(cfg, theta)
-    dim = cfg.dim
-    m_mask = np.zeros(dim, dtype=bool)
+    m_mask = np.zeros(cfg.dim, dtype=bool)
     m_mask[cfg.c - 2 :] = True
-    if data is not None:
-        Sigma = data.x.T @ data.x / data.n
-        mu = data.x.mean(axis=0)
-        source = "empirical"
-    else:
-        mu, Sigma = cfg.covariates.moments()
-        source = "population"
-    K, L = scale_constants()
-    K_M = km_matrix_effective(variant, 1.0, score_second_moment(), K, L,
-                              Sigma, mu)
-    findings = [f"K_M slope block uses J0-form with {source} moments"]
+    K_M = score_second_moment() * (data.x.T @ data.x / data.n)
+    findings = ["K_M slope block uses J0-form with empirical moments"]
     return fi.matrix, m_mask, K_M, findings
 
 

@@ -33,7 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from . import asymptotics
-from .kernels import VariantId, check_variant, initial_state, run_chain, transform_dim
+from .kernels import (VariantId, apply_transform, check_variant, initial_state,
+                      run_chain, transform_dim)
 from .model import ModelConfig, Theta, sample_dataset
 from .sampling import RngStream, check_count
 
@@ -235,7 +236,9 @@ def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
     kernel and transform must be defined at (c, p), ``coords`` within the
     transform, R >= 2, m >= 2, ``reference_size`` >= m, each SIR bank
     nonempty and smaller than its pool (``_check_pool``), and each of
-    ``counts`` (the one-step ``datasets``, ``inner``, ``starts``) >= 1."""
+    ``counts`` (the one-step ``datasets``, ``inner``, ``starts``) >= 1. R
+    (``reference_size`` given) refuses ``theta`` and ``alpha`` on an
+    augmented kernel: they are raw, and its reference rows identified."""
     variant = VariantId.parse(variant)
     check_variant(variant, cfg.c)
     dim = transform_dim(transform, cfg.c, cfg.p)
@@ -243,6 +246,9 @@ def check_settings(variant: VariantId | str, cfg: ModelConfig, transform: str,
         raise ValueError(f"coords {[int(k) for k in coords]} out of range "
                          f"for the {dim}-dimensional {transform!r} transform")
     _check_replications(R)
+    if reference_size is not None and variant.augmented and transform in ("theta", "alpha"):
+        raise ValueError(f"R needs an identified transform on {variant.name}, not the raw "
+                         f"{transform!r}: use g-theta or alpha-ratio")
     if m is not None and m < 2:
         raise ValueError("need m >= 2")
     if reference_size is not None and reference_size < m:
@@ -263,6 +269,8 @@ def _check_pool(name: str, size: int | None, pool: int | None) -> None:
     if size is None:
         return
     check_count(name, size)
+    if pool is not None:
+        check_count("pool", pool)
     limit = asymptotics.SIR_POOL if pool is None else pool
     if size >= limit:
         where = (f"pool={pool}" if pool is not None
@@ -322,10 +330,11 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
     Per replication: fresh dataset, a reference posterior sample, one chain
     of m steps started at ``theta0``; the bounded-Lipschitz distance is
     taken between the chain's empirical measure (states 1..m) and m
-    distinct reference rows (an exact assignment, solver and support in the
-    metadata), on the sqrt(n)-localized scale (and unlocalized, for
-    orientation). The central value of the reference sample per replication
-    is recorded as localization metadata.
+    distinct reference rows, the bank's identified rows under the transform
+    at g = 1 (an exact assignment, solver and support in the metadata), on
+    the sqrt(n)-localized scale (and unlocalized, for orientation). The
+    central value of the reference sample per replication is recorded as
+    localization metadata.
     """
     variant = check_settings(variant, cfg, transform, R, m=m,
                              reference_size=reference_size)
@@ -336,6 +345,8 @@ def estimate_R(variant: VariantId | str, cfg: ModelConfig, n: int, m: int,
         data = sample_dataset(cfg, theta0, n, seed=rep.child("data").seed_int())
         bank = asymptotics.build_reference_sir(cfg, data, reference_size,
                                                rep.child("bank"))
+        k = cfg.c - 2  # the identified rows under the transform at g = 1
+        bank = apply_transform(bank[:, :k], bank[:, k:], np.ones(len(bank)), transform)
         series = run_chain(cfg, data, variant, m, rep.child("chain"),
                            theta=theta0).transform(transform)[1:, 0]
         pick = rep.child("ref-pick").generator

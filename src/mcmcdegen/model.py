@@ -61,13 +61,6 @@ class CovariateSpec:
         if self.p < 1:
             raise ValueError("covariate dimension must be >= 1")
 
-    def moments(self):
-        """Mean vector and second moment matrix E[x x'] on the unit cube."""
-        mu = np.full(self.p, 0.5)
-        second = np.full((self.p, self.p), 0.25)
-        np.fill_diagonal(second, 1.0 / 3.0)
-        return mu, second
-
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class Theta:
@@ -368,17 +361,6 @@ def _prior_exponent(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:
     """The log prior inside the cone, up to its constant."""
     return (-0.5 * _sum(alpha * alpha, axis=1) / SIGMA_ALPHA ** 2
             - 0.5 * _sum(beta * beta, axis=1) / SIGMA_BETA ** 2)
-
-
-def log_prior(cfg: ModelConfig, alpha, beta) -> np.ndarray:
-    """Unnormalized log prior density over batches of (alpha, beta).
-
-    Rows violating the ordered cone get -inf. ``alpha`` has shape (B, c-2)
-    and ``beta`` (B, p).
-    """
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=float))
-    beta = np.atleast_2d(np.asarray(beta, dtype=float))
-    return _off_cone(_prior_exponent(alpha, beta), alpha)
 
 
 def log_likelihood_batch(cfg: ModelConfig, alpha, beta, data: Dataset) -> np.ndarray:

@@ -47,8 +47,11 @@ class SamplingError(RuntimeError):
 
 
 def check_count(name: str, value: int, least: int = 1) -> None:
-    """Refuse a count setting (observations, steps, chains) below ``least``
-    with a ValueError that names it."""
+    """Refuse a count setting (observations, steps, chains) that is not an
+    integer (a bool or a float) or is below ``least``, with a ValueError
+    that names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"need an integer {name}, got {value!r}")
     if value < least:
         raise ValueError(f"need {name} >= {least}, got {value}")
 

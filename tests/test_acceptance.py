@@ -24,6 +24,7 @@ from mcmcdegen.metrics import estimate_Rprime, one_step_statistic
 from mcmcdegen.model import CovariateSpec, ModelConfig, Theta, sample_dataset
 from mcmcdegen.sampling import RngStream
 from test_metrics import lag1_autocorr
+from test_output_pins import TABLE1_DEFAULT_PIN
 
 MASTER = 20_240_817
 
@@ -229,6 +230,7 @@ def test_criterion_4_classification_table(capsys, tmp_path):
     assert "inconclusive" not in got.values()
     assert elapsed < 3600
     assert len(orchestrate_out.files) >= 38  # 36 cell reports + summaries
+    assert orchestrate_out.files == TABLE1_DEFAULT_PIN  # every byte kept
 
 
 # ---------------------------------------------------------------- criterion 5

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.stats import norm
 
 from mcmcdegen import asymptotics
 from mcmcdegen.asymptotics import (
@@ -10,10 +11,9 @@ from mcmcdegen.asymptotics import (
     build_reference_sir,
     fisher_blocks,
     kernel_normal_approx,
-    km_matrix_effective,
     sir_reference,
 )
-from mcmcdegen.kernels import VariantId
+from mcmcdegen.metrics import one_step_statistic
 from mcmcdegen.model import (
     CovariateSpec,
     ModelConfig,
@@ -31,137 +31,51 @@ def _frob_rel(a, b):
     return np.linalg.norm(a - b) / np.linalg.norm(b)
 
 
-def km_matrix(variant, g, K, L, Sigma, mu):
-    """Quoted closed form of the augmented-model information K_M.
-
-    For the augmented null kernel the moving block is the working scale g
-    and K_M = K / g^2. For the augmented beta kernel the moving block is
-    (beta, g) and the quoted matrix is [[g^2 K Sigma, L mu], [L mu', K/g^2]].
-    This is the form as stated; ``km_matrix_effective`` is what the score
-    simulation supports, and the tests below record the gap.
-    """
-    variant = VariantId.parse(variant)
-    if not variant.augmented:
-        raise ValueError("quoted K_M forms exist for augmented variants only")
-    Sigma = np.atleast_2d(np.asarray(Sigma, dtype=float))
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    if variant.parameterization == "null":
-        return np.array([[K / g ** 2]])
-    p = Sigma.shape[0]
-    out = np.empty((p + 1, p + 1))
-    out[:p, :p] = g ** 2 * K * Sigma
-    out[:p, p] = L * mu
-    out[p, :p] = L * mu
-    out[p, p] = K / g ** 2
-    return out
-
-
-def mc_km_matrix(variant, cfg, g=1.0, size=100_000, seed=20_240_602):
-    """Monte Carlo second moment of the per-observation moving-block score.
-
-    Simulates (x, z) from the augmented complete-data model at g and
-    averages the outer product of the score in the moving block. This is
-    the adjudicating oracle for the K_M closed forms.
-    """
-    variant = VariantId.parse(variant)
-    gen = RngStream(seed, "km-oracle", variant.name).generator
-    if variant.parameterization == "null":
-        z = gen.normal(0.0, 1.0 / g, size)
-        score = (1.0 / g - g * z * z)[:, None]
-        return score.T @ score / size
+def mc_km_matrix(cfg, size=100_000, seed=20_240_602):
+    """Monte Carlo second moment of the per-observation slope score -w x,
+    with x uniform on the unit cube and w standard normal: the oracle of
+    K_M's slope block."""
+    gen = RngStream(seed, "km-oracle", "beta").generator
     x = gen.random((size, cfg.p))
     w = gen.standard_normal(size)
-    score_beta = -g * w[:, None] * x
-    if not variant.augmented:
-        return score_beta.T @ score_beta / size
-    score_g = ((1.0 - w * w) / g)[:, None]
-    score = np.concatenate([score_beta, score_g], axis=1)
+    score = -w[:, None] * x
     return score.T @ score / size
 
 
 class TestClosedForms:
-    def setup_method(self):
-        cfg = ModelConfig(c=2)
-        self.K, self.L = scale_constants()
-        self.J0 = score_second_moment()
-        self.Sigma = np.array([[1.0 / 3.0]])
-        self.mu = np.array([0.5])
-
-    def test_null_block_scales_inverse_square(self):
-        m1 = km_matrix("null-ma", 1.0, self.K, self.L, self.Sigma, self.mu)
-        m2 = km_matrix("null-ma", 2.0, self.K, self.L, self.Sigma, self.mu)
-        assert np.allclose(m1, [[self.K]])
-        assert np.allclose(m2, m1 / 4.0)
-        assert np.allclose(
-            km_matrix_effective("null-ma", 2.0, self.J0, self.K, self.L,
-                                self.Sigma, self.mu), m2)
-
-    def test_beta_block_structure(self):
-        g = 1.3
-        m = km_matrix("beta-ma", g, self.K, self.L, self.Sigma, self.mu)
-        assert m.shape == (2, 2)
-        assert np.allclose(m, m.T)
-        assert np.allclose(m[0, 0], g**2 * self.K * self.Sigma[0, 0])
-        assert np.allclose(m[1, 1], self.K / g**2)
-        assert np.allclose(m[0, 1], self.L * self.mu[0])
-
     def test_quoted_slope_block_doubles_effective(self):
-        """The stated slope block carries K where the score supports J0;
-        for this link that is exactly a factor of two."""
-        g = 1.0
-        quoted = km_matrix("beta-ma", g, self.K, self.L, self.Sigma, self.mu)
-        eff = km_matrix_effective("beta-ma", g, self.J0, self.K, self.L,
-                                  self.Sigma, self.mu)
-        assert np.allclose(quoted[0, 0] / eff[0, 0], self.K / self.J0)
-        assert abs(self.K / self.J0 - 2.0) < 1e-9
-        assert np.allclose(quoted[1:, 1:], eff[1:, 1:])
-
-    def test_unaugmented_rules(self):
-        with pytest.raises(ValueError):
-            km_matrix("beta", 1.0, self.K, self.L, self.Sigma, self.mu)
-        with pytest.raises(ValueError):
-            km_matrix_effective("null", 1.0, self.J0, self.K, self.L,
-                                self.Sigma, self.mu)
-        slope_only = km_matrix_effective("beta", 1.0, self.J0, self.K,
-                                         self.L, self.Sigma, self.mu)
-        assert np.allclose(slope_only, self.J0 * self.Sigma)
+        """The stated slope block K Sigma carries K where the score supports
+        J0; for this link that is exactly a factor of two over the K_M that
+        fisher_blocks computes."""
+        cfg = ModelConfig(c=2)
+        theta = Theta((), (2.0,))
+        data = sample_dataset(cfg, theta, 200, seed=3)
+        _, _, eff, _ = fisher_blocks("beta", cfg, theta, data)
+        K, _ = scale_constants()
+        J0 = score_second_moment()
+        quoted = K * (data.x.T @ data.x / data.n)
+        assert np.allclose(quoted / eff, K / J0)
+        assert abs(K / J0 - 2.0) < 1e-9
 
 
 class TestScoreOracle:
-    """Monte Carlo second moments adjudicate the closed forms."""
-
-    def setup_method(self):
-        self.cfg = ModelConfig(c=2)
-        self.K, self.L = scale_constants()
-        self.J0 = score_second_moment()
-        mu, Sigma = self.cfg.covariates.moments()
-        self.mu, self.Sigma = mu, Sigma
-
-    def test_null_scale_score(self):
-        got = mc_km_matrix("null-ma", self.cfg, g=1.3)
-        want = km_matrix("null-ma", 1.3, self.K, self.L, self.Sigma, self.mu)
-        assert _frob_rel(got, want) < 0.05
-
     def test_slope_score_matches_effective_not_quoted(self):
-        got = mc_km_matrix("beta", self.cfg)
-        eff = km_matrix_effective("beta", 1.0, self.J0, self.K, self.L,
-                                  self.Sigma, self.mu)
-        assert _frob_rel(got, eff) < 0.05
-        quoted_block = self.K * self.Sigma
-        assert _frob_rel(got, quoted_block) > 0.4
-
-    def test_joint_score_matches_effective(self):
-        got = mc_km_matrix("beta-ma", self.cfg, g=1.3)
-        eff = km_matrix_effective("beta-ma", 1.3, self.J0, self.K, self.L,
-                                  self.Sigma, self.mu)
-        assert _frob_rel(got, eff) < 0.05
+        """The score supports J0 Sigma; the quoted slope block carries K
+        where the score has J0."""
+        got = mc_km_matrix(ModelConfig(c=2))
+        Sigma = np.array([[1.0 / 3.0]])
+        J0 = score_second_moment()
+        K, _ = scale_constants()
+        assert _frob_rel(got, J0 * Sigma) < 0.05
+        assert _frob_rel(got, K * Sigma) > 0.4
 
 
 class TestFisherBlocks:
     def test_binary_moving_block_is_everything(self):
         cfg = ModelConfig(c=2)
         theta = Theta((), (2.0,))
-        I, m, K_M, findings = fisher_blocks("beta", cfg, theta)
+        data = sample_dataset(cfg, theta, 400, seed=3)
+        I, m, K_M, findings = fisher_blocks("beta", cfg, theta, data)
         assert m.all()
         assert np.allclose(I[np.ix_(m, m)], I)
         assert any("J0-form" in f for f in findings)
@@ -171,7 +85,8 @@ class TestFisherBlocks:
     def test_ordinal_masks_and_coupling(self):
         cfg = ModelConfig(c=3)
         theta = Theta((1.0,), (-1.0,))
-        I, m, K_M, _ = fisher_blocks("beta", cfg, theta)
+        data = sample_dataset(cfg, theta, 400, seed=4)
+        I, m, K_M, _ = fisher_blocks("beta", cfg, theta, data)
         assert m.tolist() == [False, True]
         assert I[np.ix_(m, ~m)].shape == (1, 1)
         assert K_M.shape == (1, 1)
@@ -187,9 +102,11 @@ class TestFisherBlocks:
 
     def test_contraction_spectrum(self):
         """The one-step linear map K_M^{-1} J_M must be a contraction."""
+        cfg = ModelConfig(c=2)
         for b in (0.5, 2.0, 4.0):
-            I, m, K_M, _ = fisher_blocks("beta", ModelConfig(c=2),
-                                         Theta((), (b,)))
+            theta = Theta((), (b,))
+            data = sample_dataset(cfg, theta, 400, seed=5)
+            I, m, K_M, _ = fisher_blocks("beta", cfg, theta, data)
             J_M = K_M - I[np.ix_(m, m)]
             lam = np.linalg.eigvals(np.linalg.inv(K_M) @ J_M)
             assert np.all(lam.real >= -1e-9)
@@ -198,9 +115,10 @@ class TestFisherBlocks:
     def test_rejects_other_kernels(self):
         cfg = ModelConfig(c=2)
         theta = Theta((), (2.0,))
+        data = sample_dataset(cfg, theta, 400, seed=6)
         for name in ("beta-ma", "null", "null-ma"):
             with pytest.raises(ValueError):
-                fisher_blocks(name, cfg, theta)
+                fisher_blocks(name, cfg, theta, data)
 
 
 class TestReferenceBanks:
@@ -348,3 +266,39 @@ class TestKernelApprox:
                                      data=data)
         want = np.linalg.inv(K_M) @ I[np.ix_(m, ~m)] @ np.array([0.2])
         assert np.allclose(mean - base, want, atol=1e-12)
+
+
+class TestOneStepLevel:
+    """The level of D, not only its ratios across n, against the normal
+    approximation. One step from stationarity moves theta by
+    (a - 1)(theta - theta_hat) + e, with a the slope of the approximation's
+    mean, theta - theta_hat ~ N(0, v) (v the BvM covariance) and e ~ N(0, w)
+    (w the approximation's covariance). So sqrt(n) times the step is normal
+    with s^2 = n((a - 1)^2 v + w), and D = E min(s|Z|, 1)."""
+
+    @staticmethod
+    def _predicted(cfg, data, ref):
+        hat = ref.theta_hat
+        at_hat, w, _ = kernel_normal_approx("beta", cfg, data, ref,
+                                            Theta.from_vector(hat, 2, 1))
+        moved, _, _ = kernel_normal_approx("beta", cfg, data, ref,
+                                           Theta.from_vector(hat + 1.0, 2, 1))
+        a = moved[0] - at_hat[0]
+        s = np.sqrt(data.n * ((a - 1.0) ** 2 * ref.bvm_cov[0, 0] + w[0, 0]))
+        return (2.0 * s * (norm.pdf(0.0) - norm.pdf(1.0 / s))
+                + 2.0 * norm.sf(1.0 / s))
+
+    @pytest.mark.parametrize("n", [100, 400])
+    def test_beta_c2_level_matches_prediction(self, n):
+        cfg = ModelConfig(c=2)
+        theta0 = Theta((), (2.0,))
+        predicted = []
+        for seed in (11, 12, 13):
+            data = sample_dataset(cfg, theta0, n, seed=seed)
+            ref = sir_reference(cfg, data, 1024, seed=seed + 1, pool=8192)
+            predicted.append(self._predicted(cfg, data, ref))
+        rep = one_step_statistic("beta", cfg, n, 32, "theta", 7 + n,
+                                 theta0=theta0, datasets=4, inner=16,
+                                 starts=8, bank_size=1024, pool=8192)
+        assert 0.8 < min(predicted) and max(predicted) < 0.9
+        assert abs(np.mean(predicted) - rep.value("D")) < 0.02

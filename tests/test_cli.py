@@ -8,10 +8,16 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mcmcdegen import cli
-from mcmcdegen.model import load_dataset
+from mcmcdegen.asymptotics import build_reference_sir
+from mcmcdegen.harness import default_theta0
+from mcmcdegen.kernels import run_chain
+from mcmcdegen.metrics import bl_distance
+from mcmcdegen.model import ModelConfig, load_dataset, sample_dataset
+from mcmcdegen.sampling import RngStream
 
 
 def _run(capsys, argv):
@@ -315,13 +321,29 @@ class TestErrors:
          "need m >= 0, got -2"),
         (["diagnose", "--n", "40", "--threads", "0"], "need threads >= 1"),
         (["diagnose", "--n", "40", "--threads", "-2"], "need threads >= 1"),
+        # a JSON count arrives as a float
+        (["diagnose", "--n", "40", "--opt", "inner=2.5"],
+         "need an integer inner, got 2.5"),
+        (["table1", "--n", "100,400,1600", "--c", "2", "--variant", "null",
+          "--opt", "datasets=2.5"], "need an integer datasets"),
+        (["diagnose", "--n", "40", "--opt", "starts=2.5"],
+         "need an integer starts"),
+        (["diagnose", "--n", "40", "--opt", "bank_size=64.5"],
+         "need an integer bank_size"),
+        (["diagnose", "--n", "40", "--m", "4", "--opt", "with_risk=true",
+          "--opt", "reference_size=64.5"], "need an integer reference_size"),
+        (["diagnose", "--n", "40", "--opt", "pool=512.5"],
+         "need an integer pool"),
     ], ids=["inner-0", "starts-0", "bank-size-0", "datasets-0", "n-0",
             "n-negative", "n-empty", "n-repeated", "variant-repeated",
             "table1-grid", "figure-m-negative", "threads-0",
-            "threads-negative"])
+            "threads-negative", "inner-float", "datasets-float",
+            "starts-float", "bank-size-float", "reference-size-float",
+            "pool-float"])
     def test_degenerate_plan_exits_2(self, tmp_path, capsys, argv, message):
         """A plan whose cells would crash, write NaN, run twice or feed a
-        reducer too little is refused before any work, naming the setting."""
+        reducer too little, or that sets a count to a non-integer, is
+        refused before any work, naming the setting."""
         small = [] if argv[0] == "figure" else self._SMALL_PLAN
         code, _, err = _run(capsys, argv[:1] + small + argv[1:]  # argv wins
                             + ["--out", str(tmp_path / "o")])
@@ -405,6 +427,58 @@ class TestHarnessCommands:
         assert code == 0, err
         rows = stdout.splitlines()[1:-1]
         assert {row.split(",")[1] for row in rows} == {"2", "3"}
+
+
+class TestRiskTransform:
+    """R compares the chain's transform with the SIR bank's identified rows
+    under the same transform at g = 1."""
+
+    _RISK = ["--n", "100", "--R", "2", "--m", "4", "--opt", "with_risk=true",
+             "--opt", "reference_size=64", "--opt", "bank_size=64",
+             "--opt", "inner=2", "--opt", "starts=2", "--opt", "pool=512"]
+
+    @staticmethod
+    def _by_hand(report, variant, c, n=100, m=4, R=2, rows=64):
+        """R_localized from the bank's cut-point columns, one replication
+        at a time, on the streams ``estimate_R`` draws."""
+        meta = report["metadata"]
+        cfg = ModelConfig(c=c)
+        root = RngStream(meta["master_seed"], "risk", variant, n, m)
+        values = []
+        for r in range(R):
+            rep = root.child("rep", r)
+            data = sample_dataset(cfg, default_theta0(c), n,
+                                  seed=rep.child("data").seed_int())
+            cuts = build_reference_sir(cfg, data, rows, rep.child("bank"))[:, :c - 2]
+            ref = cuts if c == 3 else cuts[:, 1:] / cuts[:, :-1]
+            chain = run_chain(cfg, data, variant, m, rep.child("chain"),
+                              theta=default_theta0(c))
+            series = chain.transform(meta["transform"])[1:, 0]
+            pick = rep.child("ref-pick").generator.permutation(rows)[:m]
+            values.append(bl_distance(series, ref[pick], scale=np.sqrt(n)))
+        return float(np.mean(values))
+
+    @pytest.mark.parametrize("variant, c, transform", [
+        ("beta", 3, "alpha"), ("beta-ma", 4, "alpha-ratio")])
+    def test_cut_point_transform_runs(self, tmp_path, capsys, variant, c,
+                                      transform):
+        code, _, err = _run(capsys, ["diagnose", "--variant", variant,
+                                     "--c", str(c), *self._RISK,
+                                     "--out", str(tmp_path)])
+        assert code == 0, err
+        report = json.loads((tmp_path / f"diagnose_{variant}_c{c}_n100_risk.json")
+                            .read_text())
+        assert report["metadata"]["transform"] == transform
+        assert report["estimates"]["R_localized"]["value"] == self._by_hand(
+            report, variant, c)
+
+    def test_raw_theta_of_augmented_kernel_exits_2(self, tmp_path, capsys):
+        code, _, err = _run(capsys, ["diagnose", "--variant", "null-ma",
+                                     "--c", "3", *self._RISK,
+                                     "--out", str(tmp_path / "o")])
+        assert code == 2
+        assert "'theta'" in json.loads(err)["error"]["message"]
+        assert not (tmp_path / "o").exists()
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

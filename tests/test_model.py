@@ -23,7 +23,6 @@ from mcmcdegen.model import (
     load_dataset,
     log_likelihood_batch,
     log_posterior_batch,
-    log_prior,
     prior_theta_draws,
     sample_dataset,
     save_dataset,
@@ -289,11 +288,14 @@ class TestLogDensities:
             assert vals[b] == pytest.approx(direct, rel=1e-12, abs=1e-9)
 
     def test_log_prior_cone(self):
+        """The posterior is -inf off the ordered cone and finite on it."""
         cfg = ModelConfig(c=4)
-        good = log_prior(cfg, np.array([[0.5, 1.0]]), np.array([[0.2]]))
-        bad = log_prior(cfg, np.array([[1.0, 0.5]]), np.array([[0.2]]))
-        assert np.isfinite(good[0])
-        assert bad[0] == -np.inf
+        data = sample_dataset(cfg, Theta(alpha=(0.7, 1.4), beta=(-1.0,)), 50,
+                              seed=4)
+        got = log_posterior_batch(cfg, np.array([[0.5, 1.0], [1.0, 0.5]]),
+                                  np.array([[0.2], [0.2]]), data)
+        assert np.isfinite(got[0])
+        assert got[1] == -np.inf
 
     def test_prior_draws_respect_cone(self):
         cfg = ModelConfig(c=5)
@@ -464,7 +466,7 @@ class TestLogPosteriorRow:
         assert np.isfinite(want).sum() >= 30
         assert (want == -np.inf).any()
         if c > 2:
-            off = log_prior(cfg, alpha, beta) == -np.inf
+            off = _oracle_log_prior(alpha, beta) == -np.inf
             assert off.any() and (np.isfinite(log_likelihood_batch(
                 cfg, alpha, beta, data)) & ~off).any()
 
@@ -523,12 +525,3 @@ class TestCategoryIndex:
             assert low is data.category_rows[1] and high is data.category_rows[2]
         assert values[0].tobytes() != values[1].tobytes()
         assert first.category_rows is not second.category_rows
-
-
-class TestCovariates:
-    def test_moments(self):
-        mu, second = CovariateSpec(p=3).moments()
-        assert np.allclose(mu, 0.5)
-        assert np.allclose(np.diag(second), 1.0 / 3.0)
-        off = second[~np.eye(3, dtype=bool)]
-        assert np.allclose(off, 0.25)

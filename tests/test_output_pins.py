@@ -1,7 +1,7 @@
 """sha256 pins of the program's outputs, recorded at commit 5a850b2
 (``estimators`` at commit ddac0d4).
 
-Seven families, each run at a small size (about 4 s in all):
+Eight families; the first seven run at a small size (about 4 s in all):
 
 * ``loglik``: the bits of ``log_likelihood_batch`` on a fixed parameter
   grid for c = 2, 3 and 4. The rows that are -inf are listed apart, and
@@ -17,7 +17,11 @@ Seven families, each run at a small size (about 4 s in all):
 * ``estimators``: the report bytes of the estimator paths no plan reaches:
   R' from a fixed start at c = 2, and the one-step statistic at c = 4 on
   the cut ratios and on the identified slope alone (the paths of
-  acceptance criteria 3 and 8).
+  acceptance criteria 3 and 8);
+* ``paper``: every file of the default ``fig1``, ``fig2``, ``fig3`` and
+  ``diagnose`` plans, at threads = 1 and 2 (about 3 s), and the
+  ``manifest.files`` of the default ``table1`` plan, which acceptance
+  criterion 4 runs and checks (``TABLE1_DEFAULT_PIN``).
 
 Reading a failure: the bits depend on the platform (numpy's SIMD paths
 for ``log`` and ``exp``, the BLAS, scipy), as the kernel trace digests in
@@ -178,6 +182,142 @@ def test_plan_files(tmp_path, plan):
     manifest = orchestrate(make_plan(scenario, out_dir=str(tmp_path),
                                      threads=1, **kw))
     assert manifest.files == _PLAN_PINS[plan]
+
+
+# ------------------------------------------------------------------- paper
+
+# The paper's default plans, recorded at commit a75e948.
+# plan -> {file name: sha256}, the same at threads = 1 and 2
+_PAPER_PINS = {
+    "diagnose": {
+        "diagnose_binary-null_c2_n100_one_step.json":
+            "0c8408fdc8622ea196a83dea6f04ea9afa0849b536d70a7e7dccc9c502c449ad",
+        "diagnose_binary-null_c2_n100_risk_prime.json":
+            "e0faf0772bf15d34d3da8f23fa21843024fe7de5ff2ddc02003c82633ccd417b",
+        "diagnose_binary-null_c2_n400_one_step.json":
+            "12e130e9ecbbc0f16a342a4f93da5ca69021775855764f79ac0325c216eec824",
+        "diagnose_binary-null_c2_n400_risk_prime.json":
+            "6896c1a65b33ab2a967f1d59f011a28ee280ce9c0f03528cba0c05e83c09dd7f",
+        "diagnostics.csv":
+            "0a61458db67297ca5b53ef46abb3957039501894eb7c550a122b3d3fa8bac1e9",
+    },
+    "fig1": {
+        "binary-beta_n1000_r0.csv":
+            "741c56c61fbb18899bc2e52cd6726b9c05423072d5ec71703b2f73e63a2b42f4",
+        "binary-beta_n100_r0.csv":
+            "097b77b435a83a9e6884f4c5327e0a0d8c19cbbc59504249aeca805569aba45a",
+        "binary-null_n1000_r0.csv":
+            "d7ac9d32380c4d676490c31ab8e62bad8e1bd50d52b85035f0a17ded035df858",
+        "binary-null_n100_r0.csv":
+            "076c5bbdc0fd593e24ac30c9d1fe839a4dcc26223337b81d4a43b22b8b80108c",
+        "fig1.svg":
+            "0ebb02bd74a95265524bc444f5d0bab0953b791ceac7131f0f0c9551bd0e868b",
+    },
+    "fig2": {
+        "beta-ma_n1000_r0.csv":
+            "69a5120da82c106a40eb05029654367c90f5425b5134eca7c723202bbb4d2773",
+        "beta_n1000_r0.csv":
+            "c66089a0cfe6bfa5c1455bd82fa476225ad7b2e46a0a5af95a45259524d6ce72",
+        "fig2.svg":
+            "6f9fa213d1cd6d720b590665808fb7d450b8ac417c6e467f4b89fb547d15f909",
+    },
+    "fig3": {
+        "beta-ma_n1000_r0.csv":
+            "55d0ca28c91d2cef35baf901590b0f75623d51ab6c0a209d464437110aa4a36e",
+        "beta_n1000_r0.csv":
+            "fb99fcf0bcb1bf22f0da5376bf11c1270d7e191f1b98deb2b07f27147c47fcc8",
+        "fig3.svg":
+            "ae45168a86e5b45e31a03a1cd8985d06df4c7fe3f7fc7ff0863419cdd735d509",
+    },
+}
+
+# manifest.files of the default table1 plan (acceptance criterion 4)
+TABLE1_DEFAULT_PIN = {
+    "table1.csv":
+        "8602a196bbb2eec2ef4a2a582496f6611498e989d91fb91de74389cc403cb47f",
+    "table1.json":
+        "95a4cfff42b319f6d347e094bf24c61be217b99c87be71da9c7d359912a15385",
+    "table1_beta-ma_c2_n100.json":
+        "5db5650ff9a7aa8a08173c3826fd4b61a9afd0866143dd2d6ac456a8d63daad3",
+    "table1_beta-ma_c2_n1600.json":
+        "074bac006bfbe269c8024f584edb061c32e075abcfdd6e95df419007d8d7cff7",
+    "table1_beta-ma_c2_n400.json":
+        "c3e7250f582714093d25921f5bd18b19614bea86b879c3dd19b8d4bed65d4343",
+    "table1_beta-ma_c3_n100.json":
+        "29f35d6027ee33a4813107a3f4681df0dc3428658c6b41cf7829d3bcdf32385d",
+    "table1_beta-ma_c3_n1600.json":
+        "4ca7c3d7807876828b80623808033501463147eb491f6467a64143e2344d71c2",
+    "table1_beta-ma_c3_n400.json":
+        "fe93bc1b8e08b16d05e1f4c4d0adfffbaa6f6ad53d866924141b8d7ff7fe992f",
+    "table1_beta-ma_c4_n100.json":
+        "a9337b18b394fc9e127409df69805bbf2314f18906aecf8eda2f05f8e72aff34",
+    "table1_beta-ma_c4_n1600.json":
+        "39f037c68e4ce29c1275a88e5de1e3af82de91e9e6e933226115e90765563ac1",
+    "table1_beta-ma_c4_n400.json":
+        "6500270307999f291c6df59414bf30e57014f84b332d2285623e2b846425b2bd",
+    "table1_beta_c2_n100.json":
+        "609ec5a41bb4f230749428a4780e65f4aa3bb3db1800fae3e032c3e7fe94a772",
+    "table1_beta_c2_n1600.json":
+        "f572a4f55135015d83079a2af9e86f40bbbbb07a2c4a0e6a53ee4e449067fb6b",
+    "table1_beta_c2_n400.json":
+        "1cb5e99e2e7a10504abf6c4056a39855ecb97c5dcc2a0eb1187f157ee66167d0",
+    "table1_beta_c3_n100.json":
+        "8450f70285409f8782b0a819fd1529d9aae848f9c9af45abd22b9340bb83f35b",
+    "table1_beta_c3_n1600.json":
+        "bc304c3d1091743a82fd1ec2a2cff60bf5827a4c01da0a44c47cef06c933f17c",
+    "table1_beta_c3_n400.json":
+        "f3abb1f0ba58d7c3e228d9a3e075ff9745defa4f9570a9285140eaab24835773",
+    "table1_beta_c4_n100.json":
+        "f13a075da17987f4edbbf257e4684085aacfaac2e04452b1764bfa2f27454278",
+    "table1_beta_c4_n1600.json":
+        "979488e45d750192b681071d9e8ac954d4ff72ac4777ea51b7e63753183c231a",
+    "table1_beta_c4_n400.json":
+        "15096a33c205c9ed2aeffc19cb1e0d5993e3ddd8d0b6d20d5854178b7085f1e4",
+    "table1_null-ma_c2_n100.json":
+        "1547c922cffb28813a9ee2ed4def9a2952d717de2f8218d654b5ccf95bcf57ed",
+    "table1_null-ma_c2_n1600.json":
+        "7249474ec782de4bfc8735faa8b1a81dae5aa565fcb38a7fe301356404cb128e",
+    "table1_null-ma_c2_n400.json":
+        "811aeb40017e0d99246d2708abed76c706a35059eea576d181dfcb3ff5f737d0",
+    "table1_null-ma_c3_n100.json":
+        "c183e2bf084e4cb44199738fce54a827f54734cfd988939d693df50202e971e8",
+    "table1_null-ma_c3_n1600.json":
+        "2071582e15a711466305c55b92a62ae93ce35136a595f33f6b419f42c6529653",
+    "table1_null-ma_c3_n400.json":
+        "a77e6ee9b53739f28a6e329bc553d8a619d25aac751a9337bd3bcf80663e5948",
+    "table1_null-ma_c4_n100.json":
+        "648fdd8a70ff6f5931900bfb87c1c3c3817bef300edf25ccafe9031bdaf7a793",
+    "table1_null-ma_c4_n1600.json":
+        "6b7f8f50b4118fe8bce8e0a249d748ff3f3f9671ff1dc1d142fc42d99ecd7f9c",
+    "table1_null-ma_c4_n400.json":
+        "e45f2808351b7a1e9a4f3e6ef3bbcdef55344b2077a6a17689cb303f3ce1b4d1",
+    "table1_null_c2_n100.json":
+        "93bd83470db3b85f5a21a319ced6fe32051350547492be511b8e3f8839a81555",
+    "table1_null_c2_n1600.json":
+        "51cff42250da65786b1b0fe31d7ac25364f012d20711f72d975dff104271a78d",
+    "table1_null_c2_n400.json":
+        "8b38381d453665cdb3eef9836aa2b1e4d0eb018a539bf2fc1492bd93f1e02ba7",
+    "table1_null_c3_n100.json":
+        "43eb4b7ca82955341ef27288a9857cf015890eeba281985d5f7f345fca5f46bc",
+    "table1_null_c3_n1600.json":
+        "8a75c6dca9d22fa55ce4d20f91874a11c0c7e49ab3c8e43412c5158b14904f7b",
+    "table1_null_c3_n400.json":
+        "9cf42dcfbcbfb1785964103931afab542357d2f575877fb21e1ca1c79e995774",
+    "table1_null_c4_n100.json":
+        "007625f36eab68b94f2ef3268eb9906b17c51613ce262f5b84d7fecafe917e7f",
+    "table1_null_c4_n1600.json":
+        "0568eb485e613fe4c64136e0de1f847275abbcae72511a8e2c48b4813fdbca73",
+    "table1_null_c4_n400.json":
+        "9c4c9cc3e3443dbca7a2cfff96c391a73d5bfd6e662cd5d3d97dc75da7ee7932",
+}
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("plan", sorted(_PAPER_PINS))
+def test_paper_plan_files(tmp_path, plan, threads):
+    manifest = orchestrate(make_plan(plan, out_dir=str(tmp_path),
+                                     threads=threads))
+    assert manifest.files == _PAPER_PINS[plan]
 
 
 # --------------------------------------------------------------- reference

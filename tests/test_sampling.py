@@ -17,6 +17,7 @@ from mcmcdegen.sampling import (
     DegenerateIntervalError,
     RngStream,
     SamplingError,
+    check_count,
     gamma_draw,
     truncated_normal_extended,
     truncated_normal_vec,
@@ -438,3 +439,16 @@ class TestGammaDraw:
     def test_rate_parameterization(self):
         draws = gamma_draw(3.0, 2.0, RngStream(11), size=200_000)
         assert abs(draws.mean() - 1.5) < 0.02
+
+
+class TestCheckCount:
+    def test_integers_pass(self):
+        for value in (3, np.int64(3), np.uint8(3)):
+            check_count("inner", value)
+        check_count("m", 0, least=0)
+
+    @pytest.mark.parametrize("value", [True, 2.0, 2.5, np.float64(2.0),
+                                       np.bool_(True), "2"])
+    def test_non_integers_refused(self, value):
+        with pytest.raises(ValueError, match="need an integer inner"):
+            check_count("inner", value)
